@@ -43,6 +43,11 @@ from .survey import (
 )
 
 
+# Bound-sweep chunks per worker: enough that the costlier high-trace
+# chunks spread evenly over the pool.
+SHARDS_PER_JOB = 8
+
+
 @dataclass
 class RunConfig:
     subcommand: str
@@ -63,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", help="write data rows to this path instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel workers for sweeps (at most the CPU count)")
     parser.add_argument("--precision", type=int, default=256, help="report precision bits (>= 64)")
     parser.add_argument("--cutoff", type=int, default=10**5, help="odd-prime cutoff for density products")
     parser.add_argument("--factor-budget", type=int, default=None,
@@ -128,7 +134,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     if ns.precision < 64:
         parser.error("--precision must be >= 64")
-    cfg = RunConfig(ns.subcommand, ns, ns.format, ns.output, max(1, ns.jobs),
+    jobs = max(1, min(ns.jobs, os.cpu_count() or 1))
+    cfg = RunConfig(ns.subcommand, ns, ns.format, ns.output, jobs,
                     ns.precision, ns.cutoff, ns.factor_budget)
     if cfg.factor_budget is not None:
         os.environ[ENV_TRIAL_BOUND] = str(cfg.factor_budget)
@@ -301,9 +308,11 @@ def _cmd_survey(cfg: RunConfig) -> int:
         rows = [(d,) for d in negative_pell(ns.limit, route="progression")]
         return _emit(cfg, rows=rows, header=("d",))
     # bound sweep, optionally sharded over trace ranges (merge order is fixed:
-    # chunks ascend, rows inside each chunk ascend, so parallel == serial)
+    # chunks ascend, rows inside each chunk ascend, so parallel == serial).
+    # The cost of a trace grows with T, so each worker gets several small
+    # contiguous chunks from pool.map rather than one large one.
     if cfg.jobs > 1:
-        chunks = _shard(2, ns.limit, cfg.jobs)
+        chunks = _shard(2, ns.limit, cfg.jobs * SHARDS_PER_JOB)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             parts = list(pool.map(_bound_chunk, [(ns.mu, lo, hi, cfg.factor_budget) for lo, hi in chunks]))
         rows = [r for part in parts for r in part]

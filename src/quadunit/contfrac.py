@@ -6,10 +6,21 @@ recurrence
     a_n = floor((P_n + floor(sqrt(d))) / Q_n),
     P_{n+1} = a_n Q_n - P_n,   Q_{n+1} = (d - P_{n+1}^2) / Q_n,
 
-starting from (0, 1) for w[d] = sqrt(d) and (1, 2) for w[d] = (1+sqrt(d))/2.
-The tail alpha_1, alpha_2, ... is purely periodic, so the period is the
-first recurrence of the (P, Q) state at index >= 1; no floating point is
-involved anywhere, which makes period detection exact.
+starting from (P_0, Q_0) = (0, 1) for w[d] = sqrt(d) and (1, 2) for
+w[d] = (1+sqrt(d))/2.  The tail alpha_1, alpha_2, ... is purely periodic
+with period l, and the period is palindromic (Perron; Jacobson & Williams,
+*Solving the Pell Equation*, 2009):
+
+    P_i = P_{l+1-i},   Q_i = Q_{l-i},   a_i = a_{l-i} (1 <= i < l),
+    a_l = 2 a_0 - [d = 1 mod 4].
+
+So one walk, :func:`_principal_cycle`, runs the recurrence only to the
+midpoint and mirrors the rest.  It stops at the first j >= 1 with
+Q_j = Q_{j-1}, where l = 2j - 1, or with P_j = P_{j-1}, where l = 2j - 2.
+(P_1 = P_0 only for d = 5, whose Q_1 = Q_0 stops the walk first.)  No
+floating point is involved, which makes period detection exact, and the
+walk has a step budget, so a radicand with an enormous period raises
+:class:`BudgetError` instead of running without bound.
 
 Partial quotients, convergents (p_n, q_n), the quadratic integers
 xi_n = conj(p_n - q_n w[d]) and their absolute norms nu_n are produced as
@@ -19,11 +30,13 @@ lazy streams so palindromy/determinant checks up to 2l stay cheap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
 
-from .arith import isqrt
+from .arith import BudgetError, isqrt
 from .quadfield import (
     FieldContext,
     QuadInt,
@@ -54,9 +67,6 @@ class QuadIrr:
     def approx(self) -> float:
         return (self.P + math.sqrt(self.d)) / self.Q
 
-    def conj_approx(self) -> float:
-        return (self.P - math.sqrt(self.d)) / self.Q
-
     def as_pair(self) -> tuple[int, int]:
         return self.P, self.Q
 
@@ -74,8 +84,44 @@ def is_reduced(q: QuadIrr) -> bool:
     return sign_plus_sqrt(q.P + q.Q, -1, q.d) * sq > 0
 
 
-def _initial_state(ctx: FieldContext) -> tuple[int, int]:
-    return (1, 2) if ctx.is_half else (0, 1)
+# Steps of the half-period walk before BudgetError.  This many steps cover
+# periods up to 2e6, far beyond the sweeps' periods (at most about 1e4),
+# and keep the walk's lists to about 100 MB.
+MAX_CF_STEPS = 10**6
+
+
+def _principal_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]]:
+    """(a_0..a_l, P_1..P_l, Q_1..Q_l) over one period of w[d].
+
+    Walks the (P, Q) recurrence from the initial state to the palindromic
+    midpoint of the period and mirrors the rest (see the module docstring).
+    Raises BudgetError after MAX_CF_STEPS steps.
+    """
+    d = ctx.d
+    sf = ctx.sqrt_floor
+    P, Q = (1, 2) if ctx.is_half else (0, 1)
+    quotients, Ps, Qs = [], [P], [Q]  # a_i, P_i, Q_i for i = 0, 1, ...
+    for _ in range(MAX_CF_STEPS):
+        a = (P + sf) // Q
+        quotients.append(a)
+        P_next = a * Q - P
+        Q_next = (d - P_next * P_next) // Q
+        Ps.append(P_next)
+        Qs.append(Q_next)
+        if Q_next == Q:
+            odd = True
+            break
+        if P_next == P:
+            odd = False
+            break
+        P, Q = P_next, Q_next
+    else:
+        raise BudgetError(f"period of w[{d}] not closed within {MAX_CF_STEPS} steps")
+    j = len(Ps) - 1  # the midpoint state
+    k = j - 1 if odd else j - 2  # states after it: k = l - j
+    quotients += quotients[k:0:-1]  # a_{j..l-1} = a_{k..1}
+    quotients.append(2 * quotients[0] - (1 if ctx.is_half else 0))
+    return quotients, Ps[1:] + Ps[k:0:-1], Qs[1:] + Qs[:k][::-1]
 
 
 class CFExpansion:
@@ -83,27 +129,15 @@ class CFExpansion:
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        d = ctx.d
-        sf = ctx.sqrt_floor
-        P, Q = _initial_state(ctx)
-        self.a0 = (P + sf) // Q
-        a = self.a0
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        first = (P, Q)
-        states = [first]
-        quotients = []
-        while True:
-            a = (P + sf) // Q
-            quotients.append(a)
-            P = a * Q - P
-            Q = (d - P * P) // Q
-            if (P, Q) == first:
-                break
-            states.append((P, Q))
-        self.l = len(quotients)
-        self.periodic = tuple(quotients)
-        self.states = tuple(states)  # states[i] is the (P, Q) of alpha_{i+1}
+        quotients, Ps, Qs = _principal_cycle(ctx)
+        self.a0 = quotients[0]
+        self.periodic = tuple(quotients[1:])
+        self.l = len(self.periodic)
+        # states[i] is the (P, Q) of alpha_{i+1}.  The tuple is built from a
+        # list: CPython grows a tuple built from an iterator by reallocation,
+        # which strands small tuples in its per-size free lists (about 1 MB
+        # more peak RSS for `survey pell --limit 20500` on CPython 3.11).
+        self.states = tuple(list(zip(Ps, Qs)))
         self._p = [self.a0]
         self._q = [1]
 
@@ -228,29 +262,21 @@ def alpha_product(exp: CFExpansion) -> tuple[Fraction, Fraction]:
 
 
 def regulator(ctx: FieldContext) -> float:
-    """log(eps_d) as sum of log(alpha_i) over one period.
+    """log(eps_d) as the sum of log(alpha_i) over one period.
 
-    Streams the (P, Q) recurrence without storing anything, so it is safe
-    for radicands far beyond what exact unit coefficients would allow.
-    Per-term float error is ~1e-16, giving ~1e-12 relative accuracy for
-    periods in the 1e4 range.
+    The (P, Q) states come from the half-period walk, so the period's
+    states are held in memory (at most MAX_CF_STEPS of them are walked).
+    The float result is fixed bit for bit: the terms
+    log((P_i + sqrt d) / Q_i) are added for i = 1..l in period order, left
+    to right, starting from 0.0.  ``sum()`` is not used because from
+    Python 3.12 it compensates float sums, and ``math.fsum`` rounds once
+    at the end; either would change the last bits, and the printed sweeps
+    depend on them.  Per-term float error is ~1e-16, giving ~1e-12
+    relative accuracy for periods in the 1e4 range.
     """
-    d = ctx.d
-    sf = ctx.sqrt_floor
-    sd = math.sqrt(d)
-    P, Q = _initial_state(ctx)
-    a = (P + sf) // Q
-    P = a * Q - P
-    Q = (d - P * P) // Q
-    first = (P, Q)
-    total = 0.0
-    while True:
-        total += math.log((P + sd) / Q)
-        a = (P + sf) // Q
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        if (P, Q) == first:
-            return total
+    _, Ps, Qs = _principal_cycle(ctx)
+    alphas = map(operator.truediv, map(operator.add, Ps, repeat(math.sqrt(ctx.d))), Qs)
+    return reduce(operator.add, map(math.log, alphas), 0.0)
 
 
 @lru_cache(maxsize=4096)

@@ -425,8 +425,8 @@ def theorem_bound_sweep(
                              - (3 - 2 log 2 / log mu) log(sqrt(D)/2) ].
 
     The bound's absolute constant is unknown, so only the empirical lower
-    envelope is reported; regulators come from the streaming continued
-    fraction sum (certified well below 1e-9 relative error).
+    envelope is reported; regulators come from the half-period continued
+    fraction walk (certified well below 1e-9 relative error).
     """
     if mu < 2 or not is_squarefree(mu, trial_bound):
         raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")

@@ -11,6 +11,50 @@ import math
 from fractions import Fraction
 
 
+def linear_cf_walk(d: int):
+    """(a0, periodic quotients, states) of w[d] by walking the whole period.
+
+    The full-period (P, Q) walk: it stops when the state of alpha_1
+    recurs, with no use of the palindrome.
+    """
+    sf = math.isqrt(d)
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    a0 = (P + sf) // Q
+    P = a0 * Q - P
+    Q = (d - P * P) // Q
+    first = (P, Q)
+    states = [first]
+    quotients = []
+    while True:
+        a = (P + sf) // Q
+        quotients.append(a)
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == first:
+            break
+        states.append((P, Q))
+    return a0, tuple(quotients), tuple(states)
+
+
+def linear_regulator(d: int) -> float:
+    """log(eps_d) streamed over the full period, summed in period order."""
+    sf = math.isqrt(d)
+    sd = math.sqrt(d)
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    a = (P + sf) // Q
+    P = a * Q - P
+    Q = (d - P * P) // Q
+    first = (P, Q)
+    total = 0.0
+    while True:
+        total += math.log((P + sd) / Q)
+        a = (P + sf) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == first:
+            return total
+
+
 def pell_unit_bruteforce(d: int, y_limit: int = 10**6):
     """(u, v) half-coordinates of the least unit > 1, by literal search.
 

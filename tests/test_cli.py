@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from quadunit import cli, contfrac
 from quadunit.cli import main
 
 
@@ -132,7 +133,7 @@ def test_env_budget_override(tmp_path):
     assert "budget" in proc.stderr
 
 
-def test_parallel_bound_sweep_matches_serial(capsys):
+def test_parallel_bound_sweep_matches_serial(monkeypatch, capsys):
     code, serial, _ = run_cli("--format", "csv", "survey", "bound", "--mu", "2",
                               "--limit", "120", capsys=capsys)
     assert code == 0
@@ -140,6 +141,14 @@ def test_parallel_bound_sweep_matches_serial(capsys):
                            "--limit", "120", capsys=capsys)
     assert code == 0
     assert serial == par
+    # more shards than traces, so some shards hold one trace or none
+    # (--limit 3 has no admissible trace at all: exit 2 either way)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for limit in ("3", "17", "120"):
+        argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", limit)
+        serial = run_cli(*argv, capsys=capsys)
+        for jobs in ("2", "3"):
+            assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial, (limit, jobs)
 
 
 def test_rerun_byte_identical(capsys):
@@ -149,3 +158,42 @@ def test_rerun_byte_identical(capsys):
     a = run_cli("coverage", "3", "--t-max", "30", "--y-max", "60", capsys=capsys)[1]
     b = run_cli("coverage", "3", "--t-max", "30", "--y-max", "60", capsys=capsys)[1]
     assert a == b
+
+
+def test_cf_step_budget_exit_code(monkeypatch, capsys):
+    # 1000099 has period 2174; nothing else in the suite expands it
+    monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 100)
+    code, out, err = run_cli("cf", "1000099", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "budget error: period of w[1000099] not closed within 100 steps\n"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, workers, max_workers):
+        workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    workers = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(workers, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", "40")
+    serial = run_cli(*argv, capsys=capsys)
+    assert run_cli("--jobs", "1000", *argv, capsys=capsys) == serial
+    assert run_cli("--jobs", "0", *argv, capsys=capsys) == serial
+    assert workers == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    assert run_cli("--jobs", "4", *argv, capsys=capsys) == serial
+    assert workers == [3]

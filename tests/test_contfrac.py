@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quadunit.arith import squarefree_integers_upto
+from quadunit import contfrac
+from quadunit.arith import BudgetError, is_squarefree, squarefree_integers_upto
 from quadunit.contfrac import (
+    CFExpansion,
     QuadIrr,
     alpha_product,
     expand_omega,
@@ -17,9 +21,9 @@ from quadunit.contfrac import (
     total_quotient,
     unit_compare,
 )
-from quadunit.quadfield import QuadInt, field_context, qi_compare
+from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
 
-from oracles import pell_unit_bruteforce, pell_unit_sympy
+from oracles import linear_cf_walk, linear_regulator, pell_unit_bruteforce, pell_unit_sympy
 
 rng = random.Random(0xBADC0DE)
 
@@ -30,6 +34,42 @@ def test_expand_omega_worked_cases():
     for d, a0, per in [(2, 1, [2]), (3, 1, [1, 2]), (5, 1, [1]), (13, 2, [3])]:
         e = expansion_of(d)
         assert (e.a0, list(e.periodic)) == (a0, per)
+
+
+def _assert_matches_linear_walk(d):
+    ctx = FieldContext(d)
+    e = CFExpansion(ctx)
+    assert (e.a0, e.periodic, e.states) == linear_cf_walk(d), d
+    assert e.l == len(e.periodic) == len(e.states)
+    # bitwise: the half-period walk must keep the full walk's float sum
+    assert regulator(ctx) == linear_regulator(d), d
+
+
+def test_half_period_walk_matches_linear_walk():
+    flags = squarefree_integers_upto(20_000)
+    for d in range(2, 20_000):
+        if flags[d]:
+            _assert_matches_linear_walk(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=10**6, max_value=2 * 10**7))
+def test_half_period_walk_matches_linear_walk_large(d):
+    assume(is_squarefree(d))
+    _assert_matches_linear_walk(d)
+
+
+def test_walk_step_budget(monkeypatch):
+    d = 9_999_991  # period 8096, closed at the midpoint after 4049 steps
+    ctx = FieldContext(d)
+    assert CFExpansion(ctx).l == 8096
+    monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 4049)
+    assert CFExpansion(ctx).l == 8096
+    monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 4048)
+    with pytest.raises(BudgetError, match="not closed within 4048 steps"):
+        CFExpansion(ctx)
+    with pytest.raises(BudgetError):
+        regulator(ctx)
 
 
 def test_last_quotient_and_palindrome():

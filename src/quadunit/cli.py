@@ -3,7 +3,9 @@
 Output is byte-deterministic for a fixed configuration: single-instance
 queries emit one JSON document, sweeps emit JSON Lines or CSV with a fixed
 row order, and nothing timestamped ever enters a data row.  Exit status is
-0 on success, 1 when a budget is exhausted, 2 on usage errors.
+0 on success, 1 when a budget is exhausted, 2 on usage errors and 3 on an
+internal fault (any other exception, reported as one ``internal error:``
+line on stderr).
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ def main(argv=None) -> int:
     jobs = max(1, min(ns.jobs, os.cpu_count() or 1))
     cfg = RunConfig(ns.subcommand, ns, ns.format, ns.output, jobs,
                     ns.precision, ns.cutoff, ns.factor_budget)
+    saved_budget = os.environ.get(ENV_TRIAL_BOUND)
     if cfg.factor_budget is not None:
         os.environ[ENV_TRIAL_BOUND] = str(cfg.factor_budget)
     try:
@@ -147,6 +150,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        # --factor-budget holds for this call only
+        if saved_budget is None:
+            os.environ.pop(ENV_TRIAL_BOUND, None)
+        else:
+            os.environ[ENV_TRIAL_BOUND] = saved_budget
 
 
 def run(cfg: RunConfig) -> int:

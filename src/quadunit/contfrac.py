@@ -43,7 +43,6 @@ from .quadfield import (
     field_context,
     qi_compare,
     sign_plus_sqrt,
-    sign_plus_sqrt_frac,
 )
 
 
@@ -212,8 +211,22 @@ class ResidualBound:
 def quotient_norm_residual(exp: CFExpansion, n: int) -> ResidualBound:
     """Exact residual check at index n (delta bound applies to n >= 1).
 
-    delta_n lives in Q(sqrt d), so the inequality |delta_n| < 4/(q_n^2 sqrt D)
-    is decided by exact sign computations; the float fields are reports only.
+    delta_n = alpha_{n+1} - sqrt(D)/nu_n + q_{n-1}/q_n is A + B sqrt(d) with
+    A = P/Q + q_{n-1}/q_n and B = 1/Q - e/nu, where alpha_{n+1} =
+    (P + sqrt d)/Q and sqrt(D) = e sqrt(d).  Multiplying
+    |delta_n| < 4/(q_n^2 e sqrt d) through by q_n^2 e sqrt(d) and by Q nu
+    clears every denominator.  Q nu > 0, because the states of w[d] have
+    Q > 0 and nu = |N(xi_n)| > 0 for non-square d, so the direction of the
+    inequality is kept:
+
+        -m < U + V sqrt(d) < m,   U = (nu - e Q) d q_n^2 e,
+        V = (P q_n + Q q_{n-1}) q_n e nu,   m = 4 Q nu,
+
+    which :func:`_delta_within` decides in integers (see there).  The cost
+    is about two squarings of q_n-size integers per index, q_n^2 and
+    (P q_n + Q q_{n-1})^2, besides the norm nu_n; no operand reaches the
+    size of q_n^4.  The float fields are reports only and never decide a
+    verdict.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -224,31 +237,46 @@ def quotient_norm_residual(exp: CFExpansion, n: int) -> ResidualBound:
     P, Q = exp.state(n + 1)
     _, qn = exp.convergent(n)
     _, qm1 = exp.convergent(n - 1)
+    q2 = qn * qn
 
     # alpha_{n+1} < sqrt(D)/nu  <=>  nu*P + (nu - Q*e) sqrt(d) < 0
     alpha_below = sign_plus_sqrt(nu * P, nu - Q * e, d) < 0
 
-    # delta = A + B sqrt(d) with A, B rational
-    A = Fraction(P, Q) + Fraction(qm1, qn)
-    B = Fraction(1, Q) - Fraction(e, nu)
-    # |delta| < 4/(q^2 e sqrt d)  <=>  -4 < U + V sqrt(d) < 4
-    # with U = B d q^2 e and V = A q^2 e (multiply through by q^2 e sqrt d).
-    U = B * d * qn * qn * e
-    V = A * qn * qn * e
-    within = (
-        sign_plus_sqrt_frac(U - 4, V, d) < 0
-        and sign_plus_sqrt_frac(U + 4, V, d) > 0
-    )
-
     sd = math.sqrt(d)
     delta_approx = (P + sd) / Q - e * sd / nu + qm1 / qn
     try:
-        bound_approx = 4.0 / (qn * qn * e * sd)
+        bound_approx = 4.0 / (q2 * e * sd)
     except OverflowError:
-        bound_approx = 0.0  # report only; the verdict above is exact
+        bound_approx = 0.0  # report only; the verdict is exact
     if n == 0:
         return ResidualBound(n, alpha_below, None, alpha_below, delta_approx, bound_approx)
+    within = _delta_within(d, e, nu, P, Q, qn, qm1, q2)
     return ResidualBound(n, alpha_below, within, within, delta_approx, bound_approx)
+
+
+def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int, q2: int) -> bool:
+    """-m < U + V sqrt(d) < m (see :func:`quotient_norm_residual`), exactly.
+
+    Needs Q, nu, qn > 0 and q2 = qn^2.  U and V share the factor g = e q_n,
+    so with u = c d q_n, v = w nu, c = nu - e Q and w = P q_n + Q q_{n-1}
+    the test reads |g t| < m for t = u + v sqrt(d).  In the usual case
+    u < 0 < v (c < 0 < w), the conjugate u - v sqrt(d) is negative and t
+    times it is
+    N = u^2 - v^2 d = d N1 with N1 = c^2 d q_n^2 - w^2 nu^2.
+    Then |g t| < m becomes g |N| < -m u + m v sqrt(d); it holds at once when
+    -m u >= g |N|, that is -m c >= e |N1|, and is one exact sign otherwise.
+    On the data of a true expansion N1 is small, |N1| = Q^2 nu whatever the
+    size of q_n, and -m c = 2 e |N1|, so the quick test decides.
+    """
+    c = nu - e * Q
+    w = P * qn + Q * qm1
+    m = 4 * Q * nu
+    if c < 0 < w:
+        n1 = abs(c * c * d * q2 - w * w * nu * nu)
+        return -m * c >= e * n1 or sign_plus_sqrt(-(m * c + e * n1) * d * qn, m * w * nu, d) > 0
+    U = e * c * d * q2
+    V = e * qn * w * nu
+    return sign_plus_sqrt(U - m, V, d) < 0 and sign_plus_sqrt(U + m, V, d) > 0
 
 
 def alpha_product(exp: CFExpansion) -> tuple[Fraction, Fraction]:

@@ -118,23 +118,16 @@ def solve_n0(pair: IndexPair) -> tuple[int, int]:
             )
         modulus = y // 2
         n0 = (rhs // 2) % modulus
-    _verify_norm_identity(pair, n0)
+    _candidate(pair, n0)  # checks the norm identity at n0
     return n0, modulus
 
 
-def _verify_norm_identity(pair: IndexPair, n: int) -> None:
-    """N(n*y + x + y*w[d(n)]) = mu is an integer identity; check it at n."""
-    mu, y, x = pair.mu, pair.y, pair.x
-    if pair.j == 0:
-        s = n * y + x
-        assert (s * s - mu) % (y * y) == 0, (pair, n)
-    else:
-        s = (2 * n + 1) * y + 2 * x
-        assert (s * s - 4 * mu) % (y * y) == 0, (pair, n)
-
-
 def _candidate(pair: IndexPair, n: int) -> tuple[int, int]:
-    """(d(n), s(n)) where s is the integer square root datum at n."""
+    """(d(n), s(n)) where s is the integer square root datum at n.
+
+    d(n) is integral exactly when N(n*y + x + y*w[d(n)]) = mu holds as an
+    integer identity; AssertionError (also under ``python -O``) otherwise.
+    """
     mu, y, x = pair.mu, pair.y, pair.x
     if pair.j == 0:
         s = n * y + x
@@ -218,7 +211,8 @@ def build_progression(
             continue
         ctx = field_context(dval)
         xi = _witness(pair, n, ctx)
-        assert xi.norm() == pair.mu, (pair, n, dval)
+        if xi.norm() != pair.mu:
+            raise AssertionError(f"witness of norm {xi.norm()} != mu at n={n}, d={dval} for {pair}")
         if unit_compare(ctx, xi) <= 0:
             return Progression(pair, n0, modulus, n, dval, s, tuple(exceptions))
         exceptions.append(dval)

@@ -32,12 +32,6 @@ def sign_plus_sqrt(u: int, v: int, d: int) -> int:
     return -sign_plus_sqrt(-u, -v, d)
 
 
-def sign_plus_sqrt_frac(u: Fraction, v: Fraction, d: int) -> int:
-    """Same as :func:`sign_plus_sqrt` with rational coefficients."""
-    m = u.denominator * v.denominator
-    return sign_plus_sqrt(int(u * m), int(v * m), d)
-
-
 def floor_plus_sqrt_div(u: int, v: int, w: int, d: int) -> int:
     """Exact floor((u + v*sqrt(d)) / w) for integers with w > 0."""
     if w <= 0:
@@ -155,8 +149,9 @@ class QuadInt:
         return QuadInt(self.ctx, self.a + self.b * self.ctx.omega_trace, -self.b)
 
     def norm(self) -> int:
+        # a^2 + a b t + b^2 nw with two big products instead of three
         t, nw = self.ctx.omega_trace, self.ctx.omega_norm
-        return self.a * self.a + self.a * self.b * t + self.b * self.b * nw
+        return self.a * (self.a + self.b * t) + self.b * self.b * nw
 
     def trace(self) -> int:
         return 2 * self.a + self.b * self.ctx.omega_trace

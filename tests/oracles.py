@@ -55,6 +55,54 @@ def linear_regulator(d: int) -> float:
             return total
 
 
+def fraction_delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int) -> bool:
+    """|delta| < 4/(qn^2 e sqrt d) for delta = (P + sqrt d)/Q - e sqrt(d)/nu + qm1/qn.
+
+    The residual check in Fraction arithmetic: delta = A + B sqrt(d) with
+    rational A, B, and the bound becomes -4 < U + V sqrt(d) < 4 after
+    multiplying through by qn^2 e sqrt(d) (qn, e > 0).
+    """
+    A = Fraction(P, Q) + Fraction(qm1, qn)
+    B = Fraction(1, Q) - Fraction(e, nu)
+    U = B * d * qn * qn * e
+    V = A * qn * qn * e
+    return _sign_plus_sqrt_frac(U - 4, V, d) < 0 and _sign_plus_sqrt_frac(U + 4, V, d) > 0
+
+
+def fraction_residual(exp, n: int):
+    """quotient_norm_residual(exp, n) computed with the Fraction check above."""
+    from quadunit.contfrac import ResidualBound
+
+    d = exp.ctx.d
+    e = exp.ctx.sqrt_disc_scale
+    nu = exp.nu(n)
+    P, Q = exp.state(n + 1)
+    _, qn = exp.convergent(n)
+    _, qm1 = exp.convergent(n - 1)
+    alpha_below = _sign_plus_sqrt_frac(nu * P, nu - Q * e, d) < 0
+    within = fraction_delta_within(d, e, nu, P, Q, qn, qm1)
+    sd = math.sqrt(d)
+    delta_approx = (P + sd) / Q - e * sd / nu + qm1 / qn
+    try:
+        bound_approx = 4.0 / (qn * qn * e * sd)
+    except OverflowError:
+        bound_approx = 0.0
+    if n == 0:
+        return ResidualBound(n, alpha_below, None, alpha_below, delta_approx, bound_approx)
+    return ResidualBound(n, alpha_below, within, within, delta_approx, bound_approx)
+
+
+def _sign_plus_sqrt_frac(u: Fraction, v: Fraction, d: int) -> int:
+    """Sign of u + v sqrt(d) for rational (or integer) u, v and non-square d."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    # opposite signs: the term of larger square wins
+    return sv if v * v * d > u * u else su
+
+
 def pell_unit_bruteforce(d: int, y_limit: int = 10**6):
     """(u, v) half-coordinates of the least unit > 1, by literal search.
 

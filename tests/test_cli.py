@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from quadunit import cli, contfrac
+from quadunit import cli, contfrac, quadfield
 from quadunit.cli import main
 
 
@@ -131,6 +131,28 @@ def test_env_budget_override(tmp_path):
     )
     assert proc.returncode == 1
     assert "budget" in proc.stderr
+
+
+def test_factor_budget_flag_does_not_leak(capsys):
+    # --factor-budget used to stay in os.environ and fail every later call
+    quadfield.field_context.cache_clear()  # 1000003 must be factored afresh
+    before = dict(os.environ)
+    code, _, err = run_cli("--factor-budget", "10", "unit", "1000003", capsys=capsys)
+    assert code == 1 and "budget" in err
+    assert dict(os.environ) == before
+    code, out, _ = run_cli("unit", "1000003", capsys=capsys)
+    assert code == 0 and json.loads(out)["d"] == 1000003
+    assert dict(os.environ) == before
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "cf", broken)
+    code, out, err = run_cli("cf", "13", capsys=capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_parallel_bound_sweep_matches_serial(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,14 @@ from quadunit.contfrac import (
 )
 from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
 
-from oracles import linear_cf_walk, linear_regulator, pell_unit_bruteforce, pell_unit_sympy
+from oracles import (
+    fraction_delta_within,
+    fraction_residual,
+    linear_cf_walk,
+    linear_regulator,
+    pell_unit_bruteforce,
+    pell_unit_sympy,
+)
 
 rng = random.Random(0xBADC0DE)
 
@@ -176,13 +184,18 @@ def test_alpha_product_equals_unit():
 
 
 def test_quotient_norm_residual():
-    for d in SQUAREFREE[:60]:
-        ctx = field_context(d)
-        e = expand_omega(ctx)
-        for n in range(e.l + 1):
+    # every index n <= l + 1 of every square-free d < 3000, D in {5, 8, 12, 13} too:
+    # verdicts and float reports equal the Fraction computation
+    flags = squarefree_integers_upto(3000)
+    for d in range(2, 3000):
+        if not flags[d]:
+            continue
+        e = expansion_of(d)
+        for n in range(e.l + 2):
             rb = quotient_norm_residual(e, n)
+            assert rb == fraction_residual(e, n), (d, n)
             assert rb.alpha_below_ratio
-            if ctx.discriminant > 16 and n >= 1:
+            if e.ctx.discriminant > 16 and n >= 1:
                 assert rb.delta_within_bound
             # float report is consistent with the exact verdict
             if n >= 1 and abs(abs(rb.delta_approx) - rb.bound_approx) > 1e-9:
@@ -191,11 +204,33 @@ def test_quotient_norm_residual():
 
 def test_quotient_norm_residual_large_radicand():
     # the exact verdict must survive convergents too big for float reports
-    for d in (1000003, 2000003):
+    # (9999991: period 8096, q_l of about 14k bits) and equal the Fraction check
+    for d in (1000003, 2000003, 9999991):
         e = expansion_of(d)
         for n in (0, 1, e.l - 1, e.l):
             rb = quotient_norm_residual(e, n)
             assert rb.alpha_below_ratio and rb.holds, (d, n)
+            assert rb == fraction_residual(e, n), (d, n)
+    assert rb.bound_approx == 0.0  # q_l^2 overflows a float: the report reads 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=10**5, max_value=10**6))
+def test_residual_matches_fraction_oracle_large(d):
+    assume(is_squarefree(d))
+    e = expansion_of(d)
+    for n in sorted(set(range(0, e.l + 2, max(1, e.l // 40))) | {e.l - 1, e.l, e.l + 1}):
+        assert quotient_norm_residual(e, n) == fraction_residual(e, n), (d, n)
+
+
+def test_delta_within_small_grid():
+    # all small inputs, true to the relation or not: they reach both verdicts
+    # of the quick accept's exact fallback and of the branch for c >= 0 or w <= 0
+    grid = itertools.product((2, 3, 5), (1, 2), range(1, 5), range(-2, 3), range(1, 4),
+                             range(1, 4), range(-2, 3))
+    for d, e, nu, P, Q, qn, qm1 in grid:
+        args = (d, e, nu, P, Q, qn, qm1)
+        assert contfrac._delta_within(*args, qn * qn) == fraction_delta_within(*args), args
 
 
 def test_unit_compare_huge_unit_boundaries():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,6 +114,31 @@ def test_progression_norm_identity():
             else:
                 xi = QuadInt(ctx, n * y + x, y)
             assert xi.norm() == pair.mu
+
+
+def test_invariants_raise_under_python_O():
+    # the invariant checks are explicit raises, so python -O keeps them
+    script = """
+from quadunit import progressions
+from quadunit.progressions import IndexPair, _candidate, build_progression
+pair = IndexPair(2, 0, 7, 3)
+try:
+    _candidate(pair, 2)  # n0 = 1: the norm identity fails at n = 2
+except AssertionError as exc:
+    print("identity:", exc)
+progressions._witness = lambda pair, n, ctx: ctx.one()
+try:
+    build_progression(pair)
+except AssertionError as exc:
+    print("witness:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "identity: non-integral candidate at n=2 for IndexPair(mu=2, j=0, y=7, x=3)",
+        "witness: witness of norm 1 != mu at n=1, d=2 for IndexPair(mu=2, j=0, y=7, x=3)",
+    ]
 
 
 def test_closed_form_discriminants():

@@ -135,12 +135,6 @@ class Factorization:
                 raise ValueError(f"malformed factorization {self.pairs}")
             last = p
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
     def omega(self) -> int:
         """Number of distinct prime factors."""
         return len(self.pairs)

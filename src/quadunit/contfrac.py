@@ -14,13 +14,25 @@ with period l, and the period is palindromic (Perron; Jacobson & Williams,
     P_i = P_{l+1-i},   Q_i = Q_{l-i},   a_i = a_{l-i} (1 <= i < l),
     a_l = 2 a_0 - [d = 1 mod 4].
 
-So one walk, :func:`_principal_cycle`, runs the recurrence only to the
-midpoint and mirrors the rest.  It stops at the first j >= 1 with
-Q_j = Q_{j-1}, where l = 2j - 1, or with P_j = P_{j-1}, where l = 2j - 2.
-(P_1 = P_0 only for d = 5, whose Q_1 = Q_0 stops the walk first.)  No
-floating point is involved, which makes period detection exact, and the
-walk has a step budget, so a radicand with an enormous period raises
-:class:`BudgetError` instead of running without bound.
+So one walk, :func:`_half_cycle`, runs the recurrence only to the
+midpoint.  It stops at the first j >= 1 with Q_j = Q_{j-1}, where
+l = 2j - 1, or with P_j = P_{j-1}, where l = 2j - 2.  (P_1 = P_0 only for
+d = 5, whose Q_1 = Q_0 stops the walk first.)  :func:`_principal_cycle`
+mirrors the rest of the period.  No floating point is involved, which
+makes period detection exact, and the walk has a step budget, so a
+radicand with an enormous period raises :class:`BudgetError` instead of
+running without bound.
+
+The fundamental unit needs no mirror.  With k = j - 1, the
+convergents p_n/q_n of a_0..a_k give the last convergent of the period
+body through the midpoint identities (same references):
+
+    odd l = 2k + 1:  p_{l-1} = p_k q_k + p_{k-1} q_{k-1},
+                     q_{l-1} = q_k^2 + q_{k-1}^2;
+    even l = 2k:     p_{l-1} = p_k q_{k-1} + p_{k-1} q_{k-2},
+                     q_{l-1} = q_{k-1} (q_k + q_{k-2}),
+
+with p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1, and eps_d = xi_{l-1}.
 
 Partial quotients, convergents (p_n, q_n), the quadratic integers
 xi_n = conj(p_n - q_n w[d]) and their absolute norms nu_n are produced as
@@ -86,12 +98,13 @@ def is_reduced(q: QuadIrr) -> bool:
 MAX_CF_STEPS = 10**6
 
 
-def _principal_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]]:
-    """(a_0..a_l, P_1..P_l, Q_1..Q_l) over one period of w[d].
+def _half_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int], bool]:
+    """(a_0..a_{j-1}, P_0..P_j, Q_0..Q_j, odd) up to the midpoint state j.
 
     Walks the (P, Q) recurrence from the initial state to the palindromic
-    midpoint of the period and mirrors the rest (see the module docstring).
-    Raises BudgetError after MAX_CF_STEPS steps.
+    midpoint of the period (see the module docstring); odd tells whether
+    l = 2j - 1 (else l = 2j - 2).  Raises BudgetError after MAX_CF_STEPS
+    steps.
     """
     d = ctx.d
     sf = ctx.sqrt_floor
@@ -105,15 +118,21 @@ def _principal_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]
         Ps.append(P_next)
         Qs.append(Q_next)
         if Q_next == Q:
-            odd = True
-            break
+            return quotients, Ps, Qs, True
         if P_next == P:
-            odd = False
-            break
+            return quotients, Ps, Qs, False
         P, Q = P_next, Q_next
-    else:
-        raise BudgetError(f"period of w[{d}] not closed within {MAX_CF_STEPS} steps")
-    j = len(Ps) - 1  # the midpoint state
+    raise BudgetError(f"period of w[{d}] not closed within {MAX_CF_STEPS} steps")
+
+
+def _principal_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]]:
+    """(a_0..a_l, P_1..P_l, Q_1..Q_l) over one period of w[d].
+
+    The half-period walk of :func:`_half_cycle`, with the rest of the
+    period mirrored from it.
+    """
+    quotients, Ps, Qs, odd = _half_cycle(ctx)
+    j = len(quotients)  # the midpoint state
     k = j - 1 if odd else j - 2  # states after it: k = l - j
     quotients += quotients[k:0:-1]  # a_{j..l-1} = a_{k..1}
     quotients.append(2 * quotients[0] - (1 if ctx.is_half else 0))
@@ -187,10 +206,28 @@ def total_quotient(exp: CFExpansion, n: int) -> QuadIrr:
 
 
 def fundamental_unit(ctx: FieldContext) -> QuadInt:
-    """xi_{l-1}: the least unit > 1; N equals (-1)**l."""
-    exp = expand_omega(ctx)
-    eps = exp.xi(exp.l - 1)
-    return eps
+    """xi_{l-1}: the least unit > 1; N equals (-1)**l.
+
+    Only the half-period walk runs.  The convergents of its quotients
+    a_0..a_k, k = j - 1, give (p_{l-1}, q_{l-1}) through the midpoint
+    identities of the module docstring (Perron; Jacobson & Williams,
+    *Solving the Pell Equation*, 2009):
+    p_k q_k + p_{k-1} q_{k-1} and q_k^2 + q_{k-1}^2 for odd l = 2k + 1,
+    p_k q_{k-1} + p_{k-1} q_{k-2} and q_{k-1} (q_k + q_{k-2}) for even
+    l = 2k.  No CFExpansion is built.
+    """
+    quotients, _, _, odd = _half_cycle(ctx)
+    p, q, p1, q1 = 1, 0, 0, 1  # (p_{n-1}, q_{n-1}), (p_{n-2}, q_{n-2}) at n = 0
+    for a in quotients:
+        q2 = q1
+        p, q, p1, q1 = a * p + p1, a * q + q1, p, q
+    if odd:
+        p, q = p * q + p1 * q1, q * q + q1 * q1
+    else:
+        p, q = p * q1 + p1 * q2, q1 * (q + q2)
+    if ctx.is_half:
+        return QuadInt(ctx, p - q, q)
+    return QuadInt(ctx, p, q)
 
 
 @dataclass(frozen=True)
@@ -304,26 +341,23 @@ def regulator(ctx: FieldContext) -> float:
     return reduce(operator.add, map(math.log, alphas), 0.0)
 
 
-@lru_cache(maxsize=4096)
-def _cached_regulator(ctx: FieldContext) -> float:
-    return regulator(ctx)
-
-
 def unit_compare(ctx: FieldContext, xi: QuadInt) -> int:
     """Exact sign of xi - eps_d for xi > 0: -1 below, 0 equal, +1 above.
 
-    The logs of xi and eps_d are compared first; the margin 1e-6*(1+R)
-    dwarfs both certified log errors, and anything closer falls back to
-    exact integer comparison of full unit coefficients.
+    The logs of xi and eps_d, both from :meth:`QuadInt.log_value`, are
+    compared first.  log_value is accurate to about 1e-12 relative, so the
+    margin 1e-6*(1+R) dwarfs both log errors; anything closer falls back
+    to exact integer comparison with the same eps_d.
     """
-    R = _cached_regulator(ctx)
+    eps = fundamental_unit(ctx)
+    R = eps.log_value()
     lx = xi.log_value()
     margin = 1e-6 * (1.0 + abs(R))
     if lx < R - margin:
         return -1
     if lx > R + margin:
         return 1
-    verdict = qi_compare(xi, fundamental_unit(ctx))
+    verdict = qi_compare(xi, eps)
     return {"less": -1, "equal": 0, "greater": 1}[verdict]
 
 

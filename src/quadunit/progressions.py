@@ -182,9 +182,6 @@ class Progression:
         A, B, C = self.coefficients()
         return A * k * k + B * k + C
 
-    def n_at(self, k: int) -> int:
-        return self.n_start + k * self.modulus
-
 
 def build_progression(
     pair: IndexPair, scan_limit: int = 100_000, trial_bound: int | None = None
@@ -449,9 +446,6 @@ class CoverageReport:
     y_max: int
     k_max: int
     rows: tuple[WitnessStatus, ...]
-
-    def uncovered(self) -> list[int]:
-        return [r.d for r in self.rows if r.status == "uncovered"]
 
 
 def _pairs_containing(mu: int, d: int, y_max: int):

@@ -79,11 +79,6 @@ class FieldContext:
     def sqrt_floor(self) -> int:
         return isqrt(self.d)
 
-    @property
-    def omega_floor(self) -> int:
-        """floor(w[d])."""
-        return (1 + self.sqrt_floor) // 2 if self.is_half else self.sqrt_floor
-
     # sqrt(D) = sqrt_disc_scale * sqrt(d)
     @property
     def sqrt_disc_scale(self) -> int:

@@ -36,6 +36,20 @@ def linear_cf_walk(d: int):
     return a0, tuple(quotients), tuple(states)
 
 
+def linear_fundamental_unit(d: int) -> tuple[int, int]:
+    """(a, b) of xi_{l-1} = a + b w[d] from the full-period convergents.
+
+    Runs p_n = a_n p_{n-1} + p_{n-2} (and q_n likewise) over a_0 and the
+    whole period body of :func:`linear_cf_walk`, with no use of the
+    palindrome; xi_{l-1} = conj(p_{l-1} - q_{l-1} w[d]).
+    """
+    a0, quotients, _ = linear_cf_walk(d)
+    p, q, pm, qm = a0, 1, 1, 0
+    for a in quotients[:-1]:
+        p, q, pm, qm = a * p + pm, a * q + qm, p, q
+    return (p - q, q) if d % 4 == 1 else (p, q)
+
+
 def linear_regulator(d: int) -> float:
     """log(eps_d) streamed over the full period, summed in period order."""
     sf = math.isqrt(d)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -112,7 +113,7 @@ def test_factorize_roundtrip():
     for _ in range(300):
         n = rng.randrange(1, 10**9)
         f = factorize(n)
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.pairs) == n
 
 
 def test_factorization_invariants():

@@ -241,11 +241,13 @@ def test_rerun_byte_identical(capsys):
 
 
 def test_cf_step_budget_exit_code(monkeypatch, capsys):
-    # 1000099 has period 2174; nothing else in the suite expands it
+    # 1000099 has period 2174; nothing else in the suite expands it.  unit
+    # builds no expansion, but its half-period walk keeps the same budget
     monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 100)
-    code, out, err = run_cli("cf", "1000099", capsys=capsys)
-    assert code == 1 and out == ""
-    assert err == "budget error: period of w[1000099] not closed within 100 steps\n"
+    for command in ("cf", "unit"):
+        code, out, err = run_cli(command, "1000099", capsys=capsys)
+        assert code == 1 and out == "", command
+        assert err == "budget error: period of w[1000099] not closed within 100 steps\n"
 
 
 class _RecordingPool:

@@ -28,6 +28,7 @@ from oracles import (
     fraction_delta_within,
     fraction_residual,
     linear_cf_walk,
+    linear_fundamental_unit,
     linear_regulator,
     pell_unit_bruteforce,
     pell_unit_sympy,
@@ -51,9 +52,14 @@ def _assert_matches_linear_walk(d):
     assert e.l == len(e.periodic) == len(e.states)
     # bitwise: the half-period walk must keep the full walk's float sum
     assert regulator(ctx) == linear_regulator(d), d
+    # the unit from the midpoint convergents is the full period's xi_{l-1}
+    eps = fundamental_unit(ctx)
+    assert eps == QuadInt(ctx, *linear_fundamental_unit(d)), d
+    assert eps.norm() == (-1) ** e.l, d
 
 
 def test_half_period_walk_matches_linear_walk():
+    # both parities of l, and l = 1, 2 (d = 2, 5 and 3)
     flags = squarefree_integers_upto(20_000)
     for d in range(2, 20_000):
         if flags[d]:
@@ -78,6 +84,11 @@ def test_walk_step_budget(monkeypatch):
         CFExpansion(ctx)
     with pytest.raises(BudgetError):
         regulator(ctx)
+    # the unit walks the same half period under the same budget
+    with pytest.raises(BudgetError, match="not closed within 4048 steps"):
+        fundamental_unit(ctx)
+    monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 4049)
+    assert fundamental_unit(ctx).norm() == 1
 
 
 def test_last_quotient_and_palindrome():
@@ -277,3 +288,12 @@ def test_unit_compare():
         x = QuadInt(ctx, rng.randrange(1, 500), rng.randrange(1, 500))
         want = {"less": -1, "equal": 0, "greater": 1}[qi_compare(x, fundamental_unit(ctx))]
         assert unit_compare(ctx, x) == want
+    # units of hundreds to thousands of bits, where the log margin is tightest
+    for d in (9199, 9949, 1000099, 9999991):
+        ctx = field_context(d)
+        eps = fundamental_unit(ctx)
+        cases = [eps, QuadInt(ctx, eps.a + 1, eps.b), QuadInt(ctx, eps.a - 1, eps.b),
+                 eps * eps, eps * (ctx.one() + QuadInt(ctx, 0, 1))]
+        for x in cases:
+            want = {"less": -1, "equal": 0, "greater": 1}[qi_compare(x, eps)]
+            assert unit_compare(ctx, x) == want, (d, x)

@@ -6,14 +6,36 @@ from pathlib import Path
 import quadunit
 
 
+def _library_nodes():
+    """(file name, node) for every AST node of src/quadunit/*.py."""
+    paths = sorted(Path(quadunit.__file__).parent.glob("*.py"))
+    assert {p.name for p in paths} >= {"arith.py", "cli.py", "contfrac.py", "progressions.py", "survey.py"}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_library():
     # invariants are explicit raises: python -O strips assert statements
-    paths = sorted(Path(quadunit.__file__).parent.glob("*.py"))
-    assert {p.name for p in paths} >= {"arith.py", "cli.py", "progressions.py", "survey.py"}
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _is_walk_step(node) -> bool:
+    """node is ``(d - X * X) // Q``, the (P, Q) recurrence's Q update."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)):
+        return False
+    num = node.left
+    if not (isinstance(num, ast.BinOp) and isinstance(num.op, ast.Sub)):
+        return False
+    d, sq = num.left, num.right
+    named_d = (isinstance(d, ast.Name) and d.id == "d") or (isinstance(d, ast.Attribute) and d.attr == "d")
+    return (named_d and isinstance(sq, ast.BinOp) and isinstance(sq.op, ast.Mult)
+            and ast.dump(sq.left) == ast.dump(sq.right))
+
+
+def test_one_pq_walk_in_library():
+    # the (P, Q) recurrence lives in one place: a copied walk would add a second
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _is_walk_step(node)]
+    assert len(found) == 1, found
+    assert found[0].startswith("contfrac.py:")

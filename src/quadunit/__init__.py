@@ -29,6 +29,7 @@ from .contfrac import (
     is_reduced,
     quotient_norm_residual,
     regulator,
+    residuals_hold,
     total_quotient,
     unit_compare,
 )

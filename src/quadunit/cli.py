@@ -17,10 +17,10 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 from .arith import ENV_TRIAL_BOUND, BudgetError
-from .contfrac import expand_omega, fundamental_unit, quotient_norm_residual, regulator
+from .contfrac import expand_omega, fundamental_unit, regulator, residuals_hold
 from .ideals import alpha_of_ideal, is_reduced_ideal, mu_below_omega, norm_ideal_candidates
 from .progressions import (
     IndexPair,
@@ -49,6 +49,7 @@ from .survey import (
 SHARDS_PER_JOB = 8
 
 
+@lru_cache(maxsize=1)  # one parser per process: building one costs more than most queries
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadunit",
@@ -200,7 +201,6 @@ def _cmd_cf(ns: argparse.Namespace) -> int:
     ctx = field_context(ns.d)
     exp = expand_omega(ctx)
     eps = fundamental_unit(ctx)
-    residuals_ok = all(quotient_norm_residual(exp, n).holds for n in range(exp.l))
     return _emit(ns, doc={
         "d": ctx.d,
         "a0": exp.a0,
@@ -209,7 +209,7 @@ def _cmd_cf(ns: argparse.Namespace) -> int:
         "epsilon": {"a": eps.a, "b": eps.b},
         "norm_epsilon": eps.norm(),
         "epsilon_text": format_quadint(eps),
-        "residual_bound_ok": residuals_ok,
+        "residual_bound_ok": residuals_hold(exp),
     })
 
 
@@ -303,6 +303,8 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
     # The cost of a trace grows with T, so each worker gets several small
     # contiguous chunks from pool.map rather than one large one.
     if ns.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
+
         chunks = _shard(2, ns.limit, ns.jobs * SHARDS_PER_JOB)
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             parts = list(pool.map(_bound_chunk, [(ns.mu, lo, hi, ns.factor_budget) for lo, hi in chunks]))

@@ -34,9 +34,10 @@ body through the midpoint identities (same references):
 
 with p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1, and eps_d = xi_{l-1}.
 
-Partial quotients, convergents (p_n, q_n), the quadratic integers
-xi_n = conj(p_n - q_n w[d]) and their absolute norms nu_n are produced as
-lazy streams so palindromy/determinant checks up to 2l stay cheap.
+Partial quotients, convergents (p_n, q_n) and the quadratic integers
+xi_n = conj(p_n - q_n w[d]) are produced as lazy streams so
+palindromy/determinant checks up to 2l stay cheap; the absolute norms
+nu_n = |N(xi_n)| are read off the (P, Q) states (see CFExpansion.nu).
 """
 
 from __future__ import annotations
@@ -189,7 +190,27 @@ class CFExpansion:
         return QuadInt(self.ctx, p, q)
 
     def nu(self, n: int) -> int:
-        return abs(self.xi(n).norm())
+        """nu_n = |N(xi_n)| = e Q_{n+1} / 2, read from the state of alpha_{n+1}.
+
+        Here e = sqrt_disc_scale and theta = w[d] = (P_0 + sqrt d)/Q_0.  From
+        theta = (p_n alpha_{n+1} + p_{n-1}) / (q_n alpha_{n+1} + q_{n-1}) and
+        p_n q_{n-1} - p_{n-1} q_n = (-1)^{n+1},
+
+            (p_n - q_n theta)(q_n alpha_{n+1} + q_{n-1}) = (-1)^{n+1},
+
+        and induction on the recurrence gives q_n alpha_{n+1} + q_{n-1} =
+        alpha_1 alpha_2 ... alpha_{n+1}.  Each alpha_i = (P_i + sqrt d)/Q_i has
+        N(alpha_i) = (P_i^2 - d)/Q_i^2 = -Q_{i-1}/Q_i, since
+        d - P_i^2 = Q_{i-1} Q_i, so the norms of the product telescope to
+        (-1)^{n+1} Q_0/Q_{n+1}, and
+
+            N(xi_n) = N(p_n - q_n theta) = (-1)^{n+1} Q_{n+1} / Q_0
+
+        (Perron; Jacobson & Williams, *Solving the Pell Equation*, 2009).
+        For w[d] = sqrt(d), Q_0 = 1 and e = 2; for w[d] = (1+sqrt(d))/2,
+        Q_0 = 2 and e = 1.  Either way e Q_0 = 2, so nu_n = e Q_{n+1}/2.
+        """
+        return self.ctx.sqrt_disc_scale * self.state(n + 1)[1] // 2
 
 
 @lru_cache(maxsize=256)
@@ -258,9 +279,11 @@ def quotient_norm_residual(exp: CFExpansion, n: int) -> ResidualBound:
 
     which :func:`_delta_within` decides in integers (see there).  The cost
     is about two squarings of q_n-size integers per index, q_n^2 and
-    (P q_n + Q q_{n-1})^2, besides the norm nu_n; no operand reaches the
-    size of q_n^4.  The float fields are reports only and never decide a
-    verdict.
+    (P q_n + Q q_{n-1})^2; nu_n comes from the state (see
+    :meth:`CFExpansion.nu`), and no operand reaches the size of q_n^4.  The
+    float fields are reports only and never decide a verdict.  To decide
+    every index of a period at once, :func:`residuals_hold` makes the same
+    decisions in one pass.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -286,6 +309,34 @@ def quotient_norm_residual(exp: CFExpansion, n: int) -> ResidualBound:
         return ResidualBound(n, alpha_below, None, alpha_below, delta_approx, bound_approx)
     within = _delta_within(d, e, nu, P, Q, qn, qm1, q2)
     return ResidualBound(n, alpha_below, within, within, delta_approx, bound_approx)
+
+
+def residuals_hold(exp: CFExpansion) -> bool:
+    """all(quotient_norm_residual(exp, n).holds for n < l), in one pass.
+
+    The verdicts are the same exact ones: alpha_1 < sqrt(D)/nu_0 at n = 0,
+    then the delta bound through :func:`_delta_within` at 1 <= n < l, on
+    the convergent denominators q_n themselves.  They are carried in two
+    locals instead of the expansion's convergent lists, and no
+    ResidualBound or float report is built.  The big-integer products on
+    q_n remain, so the cost still grows about as l^2 in bit operations, and
+    MAX_CF_STEPS does not bound it.
+    """
+    ctx = exp.ctx
+    d = ctx.d
+    e = ctx.sqrt_disc_scale
+    states, periodic = exp.states, exp.periodic
+    P, Q = states[0]
+    nu = exp.nu(0)
+    if sign_plus_sqrt(nu * P, nu - Q * e, d) >= 0:
+        return False
+    qm1, qn = 0, 1  # q_{n-1}, q_n at n = 0
+    for n in range(1, exp.l):
+        qm1, qn = qn, periodic[n - 1] * qn + qm1
+        P, Q = states[n]
+        if not _delta_within(d, e, exp.nu(n), P, Q, qn, qm1, qn * qn):
+            return False
+    return True
 
 
 def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int, q2: int) -> bool:

@@ -27,7 +27,7 @@ from .arith import (
     squarefree_integers_upto,
     squarefree_kernel,
 )
-from .contfrac import expand_omega, fundamental_unit, regulator
+from .contfrac import _half_cycle, expand_omega, fundamental_unit, regulator
 from .ideals import principal_basis
 from .progressions import IndexPair, build_progression, square_parts_quadratic
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
@@ -506,7 +506,8 @@ def rank_correlation(values) -> float:
 def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
     """Square-free d <= n_bound whose fundamental unit has norm -1.
 
-    route="cf": the period parity criterion (odd period of w[d]).
+    route="cf": the period parity criterion (odd period of w[d]), read
+    from the half-period walk without building an expansion.
     route="progression": reads the norm off the unit and re-derives d as a
     member of the mu = -1 progression seeded by the unit's own index pair,
     exercising the whole progression pipeline per radicand.
@@ -522,7 +523,7 @@ def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
             continue
         ctx = field_context(d)
         if route == "cf":
-            if expand_omega(ctx).l % 2 == 1:
+            if _half_cycle(ctx)[3]:  # the period l is odd
                 out.append(d)
             continue
         eps = fundamental_unit(ctx)

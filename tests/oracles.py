@@ -83,13 +83,29 @@ def fraction_delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1:
     return _sign_plus_sqrt_frac(U - 4, V, d) < 0 and _sign_plus_sqrt_frac(U + 4, V, d) > 0
 
 
+def norm_nu(exp, n: int) -> int:
+    """|N(xi_n)| from the big-integer convergent p_n/q_n, xi_n = conj(p_n - q_n w[d]).
+
+    4 N = (2 p_n - q_n)^2 - d q_n^2 for w[d] = (1+sqrt(d))/2, and
+    N = p_n^2 - d q_n^2 for w[d] = sqrt(d); no (P, Q) state is read.
+    """
+    d = exp.ctx.d
+    p, q = exp.convergent(n)
+    if d % 4 == 1:
+        return abs((2 * p - q) ** 2 - d * q * q) // 4
+    return abs(p * p - d * q * q)
+
+
 def fraction_residual(exp, n: int):
-    """quotient_norm_residual(exp, n) computed with the Fraction check above."""
+    """quotient_norm_residual(exp, n) computed with the Fraction check above.
+
+    nu_n comes from :func:`norm_nu`, not from the expansion's state.
+    """
     from quadunit.contfrac import ResidualBound
 
     d = exp.ctx.d
     e = exp.ctx.sqrt_disc_scale
-    nu = exp.nu(n)
+    nu = norm_nu(exp, n)
     P, Q = exp.state(n + 1)
     _, qn = exp.convergent(n)
     _, qm1 = exp.convergent(n - 1)

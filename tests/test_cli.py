@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import os
@@ -203,6 +204,45 @@ def test_factor_budget_flag_does_not_leak(capsys):
     assert dict(os.environ) == before
 
 
+def _fresh_run(argv):
+    proc = subprocess.run([sys.executable, "-m", "quadunit.cli", *argv],
+                          capture_output=True, text=True,
+                          env={k: v for k, v in os.environ.items() if k != "QUADUNIT_FACTOR_BUDGET"})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_calls_match_fresh_runs(capsys):
+    # one process, one parser: repeated, interleaved calls give the bytes and
+    # exit codes of fresh interpreters.  The budget case's radicand is never
+    # queried without a budget: a field_context cached by such a call would
+    # still let a later budgeted call pass
+    quadfield.field_context.cache_clear()
+    commands = [
+        ("cf", "9949"),
+        ("--factor-budget", "10", "cf", str(10007 * 10009)),  # budget: exit 1
+        ("unit", "71"),
+        ("cf",),  # argparse usage error: exit 2
+        ("ideals", "61", "3"),
+        ("--format", "csv", "ideals", "94", "5"),
+        ("ideals", "12", "3"),  # not square-free: exit 2
+        ("--precision", "80", "unit", "9949"),
+    ]
+    fresh = {argv: _fresh_run(argv) for argv in commands}
+    assert sorted(code for code, _, _ in fresh.values()) == [0, 0, 0, 0, 0, 1, 2, 2]
+    for argv in commands + commands[::-1] + commands:
+        assert _in_process(argv, capsys) == fresh[argv], argv
+    assert cli.build_parser.cache_info().currsize == 1
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def broken(cfg):
         raise RuntimeError("boom")
@@ -267,8 +307,9 @@ class _RecordingPool:
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    # the CLI imports the pool from concurrent.futures only when --jobs > 1
     workers = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(workers, max_workers))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", "40")

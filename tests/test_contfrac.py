@@ -19,6 +19,7 @@ from quadunit.contfrac import (
     is_reduced,
     quotient_norm_residual,
     regulator,
+    residuals_hold,
     total_quotient,
     unit_compare,
 )
@@ -30,6 +31,7 @@ from oracles import (
     linear_cf_walk,
     linear_fundamental_unit,
     linear_regulator,
+    norm_nu,
     pell_unit_bruteforce,
     pell_unit_sympy,
 )
@@ -196,15 +198,19 @@ def test_alpha_product_equals_unit():
 
 def test_quotient_norm_residual():
     # every index n <= l + 1 of every square-free d < 3000, D in {5, 8, 12, 13} too:
-    # verdicts and float reports equal the Fraction computation, and the
-    # delta bound holds at every n >= 1
+    # verdicts and float reports equal the Fraction computation, the delta
+    # bound holds at every n >= 1, the one-pass verdict over the period is
+    # the per-index one, and nu_n (n <= 2l + 1) is the convergent's norm
     flags = squarefree_integers_upto(3000)
     for d in range(2, 3000):
         if not flags[d]:
             continue
         e = expansion_of(d)
+        _assert_nu_from_state(e)
+        holds = []
         for n in range(e.l + 2):
             rb = quotient_norm_residual(e, n)
+            holds.append(rb.holds)
             assert rb == fraction_residual(e, n), (d, n)
             assert rb.alpha_below_ratio
             if n >= 1:
@@ -212,6 +218,7 @@ def test_quotient_norm_residual():
             # float report is consistent with the exact verdict
             if n >= 1 and abs(abs(rb.delta_approx) - rb.bound_approx) > 1e-9:
                 assert (abs(rb.delta_approx) < rb.bound_approx) == rb.delta_within_bound
+        assert residuals_hold(e) is all(holds[:e.l]) is True, d
 
 
 def test_quotient_norm_residual_large_radicand():
@@ -233,6 +240,62 @@ def test_residual_matches_fraction_oracle_large(d):
     e = expansion_of(d)
     for n in sorted(set(range(0, e.l + 2, max(1, e.l // 40))) | {e.l - 1, e.l, e.l + 1}):
         assert quotient_norm_residual(e, n) == fraction_residual(e, n), (d, n)
+
+
+def _assert_nu_from_state(e):
+    # nu_n read from the state is the norm of the big-integer convergent
+    for n in range(2 * e.l + 2):
+        assert e.nu(n) == norm_nu(e, n), (e.ctx.d, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=10**6, max_value=2 * 10**7))
+def test_nu_from_state_and_one_pass_verdict_large(d):
+    assume(is_squarefree(d))
+    e = expansion_of(d)
+    _assert_nu_from_state(e)
+    per_index = [quotient_norm_residual(e, n).holds for n in range(e.l)]
+    oracle = [fraction_residual(e, n).holds for n in range(e.l)]
+    assert residuals_hold(e) is all(per_index) is True, d
+    assert oracle == per_index, d
+
+
+def _corrupted(d, kind, k):
+    """A fresh expansion of w[d] with one datum at index k made wrong."""
+    e = CFExpansion(field_context(d))
+    if kind in ("P", "Q"):
+        states = list(e.states)
+        P, Q = states[k]
+        states[k] = (P + 1, Q) if kind == "P" else (P, Q + 2)
+        e.states = tuple(states)
+    elif kind == "a":
+        periodic = list(e.periodic)
+        periodic[k - 1] += 1  # a_k, the last quotient of q_k
+        e.periodic = tuple(periodic)
+    elif kind == "P_big":  # P > sqrt(d): at k = 0 only the alpha test of n = 0 sees it
+        states = list(e.states)
+        states[k] = (e.ctx.sqrt_floor + 1, states[k][1])
+        e.states = tuple(states)
+    else:  # nu off by one at index k only
+        true_nu = e.nu
+        e.nu = lambda n: true_nu(n) + (1 if n == k else 0)
+    return e
+
+
+@pytest.mark.parametrize("d", [94, 139, 9199, 9949, 1000099])
+def test_corrupted_expansion_fails_certificate(d):
+    # the certificate is decided on the convergents, so a wrong P, Q, a_k or
+    # nu anywhere in the period makes it fail, in one pass as per index
+    l = expansion_of(d).l
+    assert l >= 5, d
+    cases = [("P_big", 0)]
+    for k in (1, 2, l // 2, l - 1):
+        cases += [("P", k), ("Q", k), ("a", k), ("nu", k)]
+    for kind, k in cases:
+        e = _corrupted(d, kind, k)
+        per_index = [quotient_norm_residual(e, n).holds for n in range(e.l)]
+        assert residuals_hold(e) is all(per_index) is False, (d, kind, k)
+    assert residuals_hold(expansion_of(d)) is True
 
 
 def test_delta_within_small_grid():

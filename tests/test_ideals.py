@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadunit.arith import is_squarefree, squarefree_integers_upto
 from quadunit.contfrac import expand_omega, total_quotient
@@ -20,7 +22,7 @@ from quadunit.ideals import (
 )
 from quadunit.quadfield import QuadInt, field_context
 
-from oracles import conjugate_coprime_bruteforce
+from oracles import conjugate_coprime_bruteforce, norm_nu
 
 rng = random.Random(0xA11CE)
 
@@ -100,6 +102,19 @@ def test_xi_alpha_full_alignment():
             assert basis.c == 1
             assert basis.a == exp.nu(n)
             assert alpha_of_ideal(basis).as_pair() == total_quotient(exp, n).as_pair()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=10**5, max_value=10**6))
+def test_principal_basis_norms_large(d):
+    # (xi_n) is reduced with canonical basis [nu_n, b + w]: a is the norm
+    # read from the (P, Q) state and from the big-integer convergents alike
+    assume(is_squarefree(d))
+    exp = expand_omega(field_context(d))
+    for n in range(exp.l):
+        basis = principal_basis(exp.xi(n))
+        assert basis.c == 1, (d, n)
+        assert basis.a == exp.nu(n) == norm_nu(exp, n), (d, n)
 
 
 def test_reduced_ideals_examples():

@@ -10,6 +10,7 @@ from .arith import (
     BudgetError,
     Factorization,
     UnfactoredError,
+    factor_budget,
     factorize,
     is_square,
     is_squarefree,

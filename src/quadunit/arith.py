@@ -4,16 +4,21 @@ Every routine here works in plain ``int`` arithmetic (arbitrary precision,
 no floating point on any number-theoretic path).  Results are exact,
 or an explicit :class:`UnfactoredError` is raised when an input exceeds
 the factorization budget -- a wrong answer is never returned silently.
+
+The budget is the trial-division bound in force: ``DEFAULT_TRIAL_BOUND``,
+or the bound of the innermost ``with factor_budget(bound):`` of the
+current thread or task.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 DEFAULT_TRIAL_BOUND = 10**6
-ENV_TRIAL_BOUND = "QUADUNIT_FACTOR_BUDGET"
+_bound_in_force: ContextVar[int] = ContextVar("factor_budget", default=DEFAULT_TRIAL_BOUND)
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -28,11 +33,14 @@ class UnfactoredError(BudgetError):
     """A cofactor survived the trial-division budget; nothing is guessed."""
 
 
-def resolve_trial_bound(bound: int | None = None) -> int:
-    if bound is not None:
-        return bound
-    env = os.environ.get(ENV_TRIAL_BOUND)
-    return int(env) if env else DEFAULT_TRIAL_BOUND
+@contextmanager
+def factor_budget(bound: int):
+    """Factor under the trial-division bound ``bound`` inside the block."""
+    token = _bound_in_force.set(bound)
+    try:
+        yield
+    finally:
+        _bound_in_force.reset(token)
 
 
 def isqrt(n: int) -> int:
@@ -143,11 +151,11 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
-def factorize(n: int, trial_bound: int | None = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1, or UnfactoredError."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    bound = resolve_trial_bound(trial_bound)
+    bound = _bound_in_force.get()
     pairs = []
     m = n
     for p in primes_up_to(min(bound, math.isqrt(n) + 1)):
@@ -177,7 +185,7 @@ def factorize(n: int, trial_bound: int | None = None) -> Factorization:
     return Factorization(tuple(pairs))
 
 
-def squarefree_kernel(n: int, trial_bound: int | None = None) -> tuple[int, int]:
+def squarefree_kernel(n: int) -> tuple[int, int]:
     """Split n >= 1 as kernel * cofactor**2 with kernel square-free.
 
     Correct without full factorization: after trial division up to B, a
@@ -186,7 +194,7 @@ def squarefree_kernel(n: int, trial_bound: int | None = None) -> tuple[int, int]
     """
     if n < 1:
         raise ValueError(f"squarefree_kernel requires n >= 1, got {n}")
-    bound = resolve_trial_bound(trial_bound)
+    bound = _bound_in_force.get()
     kernel = 1
     cof = 1
     m = n
@@ -219,8 +227,8 @@ def squarefree_kernel(n: int, trial_bound: int | None = None) -> tuple[int, int]
     return kernel, cof
 
 
-def is_squarefree(n: int, trial_bound: int | None = None) -> bool:
-    return squarefree_kernel(abs(n), trial_bound)[1] == 1
+def is_squarefree(n: int) -> bool:
+    return squarefree_kernel(abs(n))[1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .arith import ENV_TRIAL_BOUND, BudgetError
+from .arith import DEFAULT_TRIAL_BOUND, BudgetError, factor_budget
 from .contfrac import expand_omega, fundamental_unit, regulator, residuals_hold
 from .ideals import alpha_of_ideal, is_reduced_ideal, mu_below_omega, norm_ideal_candidates
 from .progressions import (
@@ -43,6 +43,8 @@ from .survey import (
     theorem_bound_sweep,
 )
 
+
+ENV_TRIAL_BOUND = "QUADUNIT_FACTOR_BUDGET"
 
 # Bound-sweep chunks per worker: enough that the costlier high-trace
 # chunks spread evenly over the pool.
@@ -124,12 +126,13 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     if ns.precision < 64:
         parser.error("--precision must be >= 64")
+    if ns.factor_budget is not None and ns.factor_budget < 2:
+        parser.error("--factor-budget must be >= 2")
     ns.jobs = max(1, min(ns.jobs, os.cpu_count() or 1))
-    saved_budget = os.environ.get(ENV_TRIAL_BOUND)
-    if ns.factor_budget is not None:
-        os.environ[ENV_TRIAL_BOUND] = str(ns.factor_budget)
     try:
-        return _HANDLERS[ns.subcommand](ns)
+        ns.factor_budget = _resolve_budget(ns.factor_budget)
+        with factor_budget(ns.factor_budget):  # this call only
+            return _HANDLERS[ns.subcommand](ns)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 1
@@ -139,12 +142,17 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    finally:
-        # --factor-budget holds for this call only
-        if saved_budget is None:
-            os.environ.pop(ENV_TRIAL_BOUND, None)
-        else:
-            os.environ[ENV_TRIAL_BOUND] = saved_budget
+
+
+def _resolve_budget(flag: int | None) -> int:
+    """The trial bound: the flag, else $QUADUNIT_FACTOR_BUDGET, else the default."""
+    if flag is not None:
+        return flag
+    env = os.environ.get(ENV_TRIAL_BOUND)
+    bound = int(env) if env else DEFAULT_TRIAL_BOUND
+    if bound < 2:
+        raise ValueError(f"{ENV_TRIAL_BOUND} must be >= 2, got {bound}")
+    return bound
 
 
 def _emit(ns: argparse.Namespace, doc=None, header=(), rows=None) -> int:
@@ -280,8 +288,9 @@ def _cmd_hensel(ns: argparse.Namespace) -> int:
 
 
 def _bound_chunk(args) -> list:
-    mu, lo, hi, budget = args
-    return _bound_rows(mu, lo, hi, budget)
+    mu, lo, hi, bound = args
+    with factor_budget(bound):
+        return _bound_rows(mu, lo, hi)
 
 
 def _cmd_survey(ns: argparse.Namespace) -> int:
@@ -311,7 +320,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
         rows = [r for part in parts for r in part]
         report = assemble_bound_report(ns.mu, ns.limit, ns.probe_constant, rows)
     else:
-        report = theorem_bound_sweep(ns.mu, ns.limit, ns.probe_constant, ns.factor_budget)
+        report = theorem_bound_sweep(ns.mu, ns.limit, ns.probe_constant)
     data_rows = [(r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows]
     if ns.format == "csv":
         return _emit(ns, header=("trace", "d", "D", "log_eps", "residual"), rows=data_rows)

@@ -183,9 +183,7 @@ class Progression:
         return A * k * k + B * k + C
 
 
-def build_progression(
-    pair: IndexPair, scan_limit: int = 100_000, trial_bound: int | None = None
-) -> Progression:
+def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression:
     """Scan the admissible n ascending and pick the canonical start t.
 
     Square-free candidates d >= 2 are tested exactly against the
@@ -200,7 +198,7 @@ def build_progression(
         dval, s = _candidate(pair, n)
         if dval < 2:
             continue
-        if squarefree_kernel(dval, trial_bound)[1] != 1:
+        if squarefree_kernel(dval)[1] != 1:
             continue
         ctx = field_context(dval)
         xi = _witness(pair, n, ctx)
@@ -231,8 +229,11 @@ def quadratic_roots_mod_p2(A: int, B: int, C: int, p: int) -> list[tuple[int, in
     if A % p == 0:
         # quadratic term vanishes mod p^2
         b, c = B % pp, C % pp
+        if b == 0:
+            return [(0, 1)] if c == 0 else []
         if b % p == 0:
-            return [(0, 1)] if c % pp == 0 else ([(k, pp) for k in range(pp) if (b * k + c) % pp == 0])
+            # (b/p) k + c/p = 0 (mod p), with p not dividing b/p
+            return [((-(c // p) * mod_inverse(b // p, p)) % p, p)] if c % p == 0 else []
         return [((-c * mod_inverse(b, pp)) % pp, pp)]
     disc = B * B - 4 * A * C
     if disc % p:
@@ -484,7 +485,6 @@ def coverage_report(
     y_max: int,
     k_max: int,
     scan_limit: int = 100_000,
-    trial_bound: int | None = None,
 ) -> CoverageReport:
     """Check that every witness radicand lands in some progression.
 
@@ -498,7 +498,7 @@ def coverage_report(
         disc = t * t - 4 * mu
         if disc <= 0 or is_square(disc):
             continue
-        kernel, _ = squarefree_kernel(disc, trial_bound)
+        kernel, _ = squarefree_kernel(disc)
         witnesses.setdefault(kernel, t)
     prog_cache: dict[IndexPair, Progression] = {}
     rows = []
@@ -507,7 +507,7 @@ def coverage_report(
         for pair, n in _pairs_containing(mu, d, y_max):
             prog = prog_cache.get(pair)
             if prog is None:
-                prog = build_progression(pair, scan_limit, trial_bound)
+                prog = build_progression(pair, scan_limit)
                 prog_cache[pair] = prog
             if d >= prog.t:
                 if (n - prog.n_start) % prog.modulus:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import isqrt, squarefree_kernel
+from .arith import _bound_in_force, isqrt, squarefree_kernel
 
 
 def sign_plus_sqrt(u: int, v: int, d: int) -> int:
@@ -89,8 +89,18 @@ class FieldContext:
 
 
 @lru_cache(maxsize=4096)
+def _field_context(d: int, bound: int) -> FieldContext:
+    return FieldContext(d)  # validated under bound, the trial bound in force
+
+
 def field_context(d: int) -> FieldContext:
-    return FieldContext(d)
+    """The cached context of d, keyed on the trial bound in force as well:
+    a radicand factored under one budget never answers for another."""
+    return _field_context(d, _bound_in_force.get())
+
+
+field_context.cache_info = _field_context.cache_info
+field_context.cache_clear = _field_context.cache_clear
 
 
 @dataclass(frozen=True)

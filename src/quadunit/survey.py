@@ -8,7 +8,7 @@ elements all arise from convergents of w[d], so the per-field route scans
 the xi_n stream; the cross-field route scans traces m and both signed
 norms, reducing each discriminant m^2 -+ 4 mu to its square-free kernel.
 The two routes are kept fully independent so they can cross-check each
-other.
+other: the test suite counts E_mu field by field from the first.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ class EMuEntry:
 class EMuReport:
     mu: int
     x_bound: Fraction
-    route: str
     entries: tuple[EMuEntry, ...]
     theorem_upper_ok: bool  # count < 2 * x_bound
 
@@ -175,33 +174,20 @@ def _unit_map(trace_max: int) -> dict[int, tuple[int, int]]:
     return eps
 
 
-def E_mu(
-    mu: int,
-    x_bound,
-    route: str = "trace",
-    trial_bound: int | None = None,
-) -> EMuReport:
+def E_mu(mu: int, x_bound) -> EMuReport:
     """Count minimal elements of absolute norm mu in (1, x_bound).
 
-    route="trace": scan traces and both signed norms, reduce each
-    discriminant to its square-free kernel, and test minimality against a
-    table of small fundamental units (fields absent from the table have
-    eps_d beyond x_bound, making every candidate minimal).
-
-    route="fields": enumerate radicands and collect per-field minimal
-    elements; independent of the trace scan, intended as its cross-check.
+    Scans traces and both signed norms, reduces each discriminant to its
+    square-free kernel, and tests minimality against a table of small
+    fundamental units (fields absent from the table have eps_d beyond
+    x_bound, making every candidate minimal).
     """
-    if mu < 1 or not is_squarefree(mu, trial_bound):
+    if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
     x = Fraction(x_bound)
-    if route == "fields":
-        entries = _e_mu_fields(mu, x)
-    elif route == "trace":
-        entries = _e_mu_trace(mu, x)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    entries = _e_mu_trace(mu, x)
     entries.sort(key=lambda e: (e.value, e.trace, e.signed_norm))
-    return EMuReport(mu, x, route, tuple(entries), len(entries) < 2 * x)
+    return EMuReport(mu, x, tuple(entries), len(entries) < 2 * x)
 
 
 def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
@@ -254,23 +240,6 @@ def _consider(out, units, x: Fraction, m: int, sigma: int, d: int, f: int) -> No
     out.append(EMuEntry((m + f * math.sqrt(d)) / 2.0, d, m, sigma, f))
 
 
-def _e_mu_fields(mu: int, x: Fraction) -> list[EMuEntry]:
-    if x <= 1:
-        return []
-    d_max = (int(x) + mu + 2) ** 2
-    flags = squarefree_integers_upto(d_max)
-    out = []
-    for d in range(2, d_max + 1):
-        if not flags[d]:
-            continue
-        ctx = field_context(d)
-        for rec in minimal_elements(ctx, mu):
-            u, v = rec.xi.half_coords()
-            if _below_bound(u, v, d, x):
-                out.append(EMuEntry(rec.value_approx, d, rec.trace, rec.signed_norm, v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # f_mu: counting distinct fields
 
@@ -285,7 +254,7 @@ class FMuReport:
     kernels: tuple[int, ...]
 
 
-def f_mu(mu: int, n_bound: int, trial_bound: int | None = None) -> FMuReport:
+def f_mu(mu: int, n_bound: int) -> FMuReport:
     """Distinct square-free kernels of T^2 - 4 mu over 1 < T < n_bound."""
     liminf = 2.0 ** -factorize(abs(mu)).omega()
     if n_bound <= 2:
@@ -407,7 +376,6 @@ def theorem_bound_sweep(
     mu: int,
     t_max: int,
     probe_constant: float = 0.0,
-    trial_bound: int | None = None,
     t_min: int = 2,
 ) -> BoundReport:
     """Residuals of log(eps_d) against the quadratic-in-log lower bound.
@@ -422,9 +390,9 @@ def theorem_bound_sweep(
     envelope is reported; regulators come from the half-period continued
     fraction walk (certified well below 1e-9 relative error).
     """
-    if mu < 2 or not is_squarefree(mu, trial_bound):
+    if mu < 2 or not is_squarefree(mu):
         raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
-    rows = _bound_rows(mu, t_min, t_max, trial_bound)
+    rows = _bound_rows(mu, t_min, t_max)
     return assemble_bound_report(mu, t_max, probe_constant, rows)
 
 
@@ -457,7 +425,7 @@ def assemble_bound_report(
     )
 
 
-def _bound_rows(mu: int, t_min: int, t_max: int, trial_bound: int | None) -> list[BoundRow]:
+def _bound_rows(mu: int, t_min: int, t_max: int) -> list[BoundRow]:
     """Sweep worker: rows for traces in [t_min, t_max], ascending."""
     if t_max < t_min:
         return []

@@ -221,6 +221,32 @@ def negative_pell_bruteforce(n_bound: int) -> list[int]:
     return out
 
 
+def e_mu_fields(mu: int, x_bound) -> list[tuple[int, int, int]]:
+    """(d, trace, signed norm) of every minimal element of |norm| mu in
+    (1, x_bound), collected field by field from ``minimal_elements``.
+
+    The per-field cross-check of ``E_mu``'s trace scan: every square-free
+    d up to (x + mu + 2)^2 is visited, and no discriminant is reduced.
+    """
+    from quadunit.quadfield import field_context
+    from quadunit.survey import minimal_elements
+
+    x = Fraction(x_bound)
+    if x <= 1:
+        return []
+    d_max = (int(x) + mu + 2) ** 2
+    out = []
+    for d in range(2, d_max + 1):
+        if any(d % (p * p) == 0 for p in range(2, math.isqrt(d) + 1)):
+            continue
+        for rec in minimal_elements(field_context(d), mu):
+            u, v = rec.xi.half_coords()
+            # (u + v sqrt(d))/2 < x
+            if _sign_plus_sqrt_frac(u - 2 * x, Fraction(v), d) < 0:
+                out.append((d, rec.trace, rec.signed_norm))
+    return out
+
+
 def float_value(a: int, b: int, d: int, half: bool) -> float:
     """Value of a + b*w[d] using 200-bit fixed point, returned as float."""
     prec = 200

@@ -44,7 +44,7 @@ from quadunit.survey import (
     theorem_bound_sweep,
 )
 
-from oracles import omega_p_count, pell_unit_bruteforce, pell_unit_sympy
+from oracles import e_mu_fields, omega_p_count, pell_unit_bruteforce, pell_unit_sympy
 
 SQFREE_5000 = squarefree_integers_upto(5000)
 
@@ -226,11 +226,11 @@ def test_criterion_10_hensel():
 
 
 def test_criterion_11_surveys():
-    # E_2(5) = 5 by both routes
-    trace = E_mu(2, 5, route="trace")
-    fields = E_mu(2, 5, route="fields")
-    assert trace.count == 5 and fields.count == 5
-    assert trace.keys() == fields.keys()
+    # E_2(5) = 5 by both routes: the trace scan and the field-by-field count
+    trace = E_mu(2, 5)
+    fields = e_mu_fields(2, 5)
+    assert trace.count == 5 and len(fields) == 5
+    assert trace.keys() == set(fields)
 
     # E_mu(x) < 2x for all x <= 1e5: at each jump value v_i (sorted, i-th
     # smallest, 1-based) the count just after v_i is i, so i <= 2 v_i exactly

@@ -6,6 +6,7 @@ import pytest
 from quadunit.arith import (
     Factorization,
     UnfactoredError,
+    factor_budget,
     factorize,
     is_prime,
     is_square,
@@ -58,10 +59,12 @@ def test_squarefree_kernel_large_semiprime():
     # two distinct primes above the trial bound: still resolved exactly
     # (a surviving cofactor below bound**3 is 1, p, p*q or a square)
     p, q = 1_000_003, 1_000_033
-    assert squarefree_kernel(p * q, trial_bound=100_000) == (p * q, 1)
-    assert squarefree_kernel(p * p, trial_bound=1000) == (1, p)
-    with pytest.raises(UnfactoredError):
-        squarefree_kernel(p * q, trial_bound=1000)  # beyond the bound**3 window
+    with factor_budget(100_000):
+        assert squarefree_kernel(p * q) == (p * q, 1)
+    with factor_budget(1000):
+        assert squarefree_kernel(p * p) == (1, p)
+        with pytest.raises(UnfactoredError):
+            squarefree_kernel(p * q)  # beyond the bound**3 window
 
 
 def test_mod_inverse():
@@ -125,10 +128,11 @@ def test_factorization_invariants():
 
 def test_unfactored_error():
     p, q = 10_007, 10_009
-    with pytest.raises(UnfactoredError):
-        factorize(p * q, trial_bound=100)
-    # a perfect square of an out-of-budget prime is still resolved
-    assert factorize(p * p, trial_bound=100).pairs == ((p, 2),)
+    with factor_budget(100):
+        with pytest.raises(UnfactoredError):
+            factorize(p * q)
+        # a perfect square of an out-of-budget prime is still resolved
+        assert factorize(p * p).pairs == ((p, 2),)
 
 
 def test_is_prime_small():

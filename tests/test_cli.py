@@ -1,14 +1,17 @@
 import concurrent.futures
+import contextlib
 import errno
 import json
 import os
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from quadunit import cli, contfrac, quadfield
+from quadunit.arith import UnfactoredError, factor_budget
 from quadunit.cli import main
 
 
@@ -107,6 +110,13 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for value in ("1", "0", "-1"):  # rejected before any factoring
+        with pytest.raises(SystemExit) as exc:
+            main(["--factor-budget", value, "unit", "13"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("quadunit: error: --factor-budget must be >= 2\n")
 
 
 def test_budget_error_exit_code(capsys):
@@ -192,8 +202,59 @@ def test_env_budget_override(tmp_path):
     assert "budget" in proc.stderr
 
 
+# one quick call of every subcommand
+SUBCOMMANDS = [
+    ("cf", "13"),
+    ("unit", "13"),
+    ("ideals", "61", "3"),
+    ("progression", "2", "0", "7", "3", "--k-max", "3"),
+    ("pairs", "2", "0", "7"),
+    ("density", "2", "0", "7", "3", "--k-max", "50"),
+    ("coverage", "2", "--t-max", "10", "--y-max", "50"),
+    ("hensel", "1", "0", "-5", "11", "2"),
+    ("survey", "e-mu", "--limit", "5"),
+    ("survey", "f-mu", "--limit", "10"),
+    ("survey", "pell", "--limit", "30"),
+    ("survey", "bound", "--limit", "30"),
+    ("verify",),
+]
+
+
+def test_env_budget_validated_for_every_subcommand(monkeypatch, capsys):
+    # the variable is read once, before the subcommand runs: hensel, which
+    # factors nothing, used to ignore a malformed value and exit 0
+    for value, message in (
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("1", "QUADUNIT_FACTOR_BUDGET must be >= 2, got 1"),
+        ("-1", "QUADUNIT_FACTOR_BUDGET must be >= 2, got -1"),
+    ):
+        monkeypatch.setenv("QUADUNIT_FACTOR_BUDGET", value)
+        for argv in SUBCOMMANDS:
+            assert run_cli(*argv, capsys=capsys) == (2, "", f"usage error: {message}\n"), (value, argv)
+        # the flag wins over the variable
+        assert run_cli("--factor-budget", "1000", "cf", "13", capsys=capsys)[0] == 0
+
+
+def test_parallel_bound_sweep_keeps_the_budget(monkeypatch, capsys):
+    # the --jobs workers obey the call's budget, whether the flag or the
+    # variable set it, and take it from their task, not from inherited state
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", "200")
+    serial = run_cli("--factor-budget", "10", *argv, capsys=capsys)
+    assert serial[:2] == (1, "") and serial[2].startswith("budget error: ")
+    assert run_cli("--factor-budget", "10", "--jobs", "2", *argv, capsys=capsys) == serial
+    monkeypatch.setenv("QUADUNIT_FACTOR_BUDGET", "10")
+    assert run_cli(*argv, capsys=capsys) == serial
+    assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
+    with pytest.raises(UnfactoredError):
+        cli._bound_chunk((2, 2, 200, 10))
+    assert cli._bound_chunk((2, 2, 200, 10**6)) == cli._bound_rows(2, 2, 200)
+
+
 def test_factor_budget_flag_does_not_leak(capsys):
-    # --factor-budget used to stay in os.environ and fail every later call
+    # --factor-budget holds for its own call only, in both directions: it
+    # does not fail a later call, and a context cached by an unbudgeted call
+    # does not let a later budgeted call pass
     quadfield.field_context.cache_clear()  # 1000003 must be factored afresh
     before = dict(os.environ)
     code, _, err = run_cli("--factor-budget", "10", "unit", "1000003", capsys=capsys)
@@ -202,6 +263,37 @@ def test_factor_budget_flag_does_not_leak(capsys):
     code, out, _ = run_cli("unit", "1000003", capsys=capsys)
     assert code == 0 and json.loads(out)["d"] == 1000003
     assert dict(os.environ) == before
+    assert run_cli("--factor-budget", "10", "unit", "1000003", capsys=capsys) == (1, "", err)
+
+
+@pytest.mark.parametrize("first", ["budgeted", "default"])
+def test_field_context_budget_per_thread(first):
+    # two threads query one radicand, one under a budget that cannot factor
+    # it: each sees its own budget, whichever reaches the cache first
+    quadfield.field_context.cache_clear()
+    barrier = threading.Barrier(2, timeout=5)
+    gate = threading.Event()
+    results = {}
+
+    def query(name):
+        with factor_budget(10) if name == "budgeted" else contextlib.nullcontext():
+            barrier.wait()
+            if name != first:
+                gate.wait(5)
+            try:
+                results[name] = quadfield.field_context(1000003).d
+            except UnfactoredError as exc:
+                results[name] = exc
+            finally:
+                gate.set()
+
+    threads = [threading.Thread(target=query, args=(name,)) for name in ("budgeted", "default")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert isinstance(results["budgeted"], UnfactoredError)
+    assert results["default"] == 1000003
 
 
 def _fresh_run(argv):
@@ -222,12 +314,11 @@ def _in_process(argv, capsys):
 
 def test_repeated_calls_match_fresh_runs(capsys):
     # one process, one parser: repeated, interleaved calls give the bytes and
-    # exit codes of fresh interpreters.  The budget case's radicand is never
-    # queried without a budget: a field_context cached by such a call would
-    # still let a later budgeted call pass
+    # exit codes of fresh interpreters
     quadfield.field_context.cache_clear()
     commands = [
         ("cf", "9949"),
+        ("cf", str(10007 * 10009)),
         ("--factor-budget", "10", "cf", str(10007 * 10009)),  # budget: exit 1
         ("unit", "71"),
         ("cf",),  # argparse usage error: exit 2
@@ -237,7 +328,7 @@ def test_repeated_calls_match_fresh_runs(capsys):
         ("--precision", "80", "unit", "9949"),
     ]
     fresh = {argv: _fresh_run(argv) for argv in commands}
-    assert sorted(code for code, _, _ in fresh.values()) == [0, 0, 0, 0, 0, 1, 2, 2]
+    assert sorted(code for code, _, _ in fresh.values()) == [0, 0, 0, 0, 0, 0, 1, 2, 2]
     for argv in commands + commands[::-1] + commands:
         assert _in_process(argv, capsys) == fresh[argv], argv
     assert cli.build_parser.cache_info().currsize == 1

@@ -39,3 +39,20 @@ def test_one_pq_walk_in_library():
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _is_walk_step(node)]
     assert len(found) == 1, found
     assert found[0].startswith("contfrac.py:")
+
+
+def _budget_channel_breach(name, node) -> bool:
+    """node reads the environment outside cli.py, or passes a trial_bound."""
+    if name != "cli.py":
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            return isinstance(node.value, ast.Name) and node.value.id == "os"
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return any(alias.name in ("environ", "getenv") for alias in node.names)
+    return isinstance(node, (ast.arg, ast.keyword)) and node.arg == "trial_bound"
+
+
+def test_factor_budget_has_one_channel():
+    # the trial bound reaches the library only through factor_budget's
+    # context value, and only the CLI reads the environment
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _budget_channel_breach(name, node)]
+    assert found == []

@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadunit.arith import factorize, is_squarefree, primes_up_to
+from quadunit.arith import factorize, is_squarefree, primes_up_to, squarefree_kernel
 from quadunit.progressions import (
     IndexPair,
     ScanBudgetError,
@@ -220,6 +222,24 @@ def test_square_parts_quadratic_vs_factorization():
         square_parts_quadratic(1, 0, -8, 0)
     with pytest.raises(ValueError):
         squarefree_flags_quadratic(1, 0, -8, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-20, 20), st.integers(-200, 200), st.integers(-2000, 2000), st.integers(1, 60))
+def test_quadratic_sieve_matches_kernel(A, B, C, count):
+    # any (A, B, C), not only the progression forms: a p | A with p^2 not
+    # dividing A takes the brute-force root path
+    flags = squarefree_flags_quadratic(A, B, C, count)
+    sq = square_parts_quadratic(A, B, C, count)
+    assert len(flags) == len(sq) == count
+    for k in range(count):
+        v = abs(A * k * k + B * k + C)
+        if v == 0:
+            assert (flags[k], sq[k]) == (0, 1), (k, v)
+            continue
+        kernel, cof = squarefree_kernel(v)
+        assert sq[k] == cof * cof, (k, v)
+        assert bool(flags[k]) == (cof == 1), (k, v)
 
 
 def test_empirical_density_examples():

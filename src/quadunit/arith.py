@@ -12,6 +12,7 @@ current thread or task.
 
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -58,17 +59,21 @@ def is_square(n: int) -> bool:
 
 
 def introot(n: int, k: int) -> int:
-    """Largest r with r**k <= n (n >= 0, k >= 1)."""
+    """Largest r with r**k <= n (n >= 0, k >= 1), exact at any size.
+
+    Integer Newton from 2**ceil(bits/k), which is above the root: the
+    iterates fall strictly until the first one that does not, the root.
+    """
     if n < 0 or k < 1:
         raise ValueError("introot requires n >= 0, k >= 1")
     if n < 2 or k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +85,24 @@ _sieve_primes: list[int] = []
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, cached and re-used across calls."""
-    global _sieve_limit, _sieve_primes
-    if n <= _sieve_limit:
-        # bisect would be cheaper, but callers mostly ask with the cached bound
-        if n == _sieve_limit:
-            return _sieve_primes
-        import bisect
+    """All primes <= n, cached and re-used across calls.
 
-        return _sieve_primes[: bisect.bisect_right(_sieve_primes, n)]
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    _sieve_primes = [i for i in range(2, n + 1) if flags[i]]
-    _sieve_limit = n
-    return _sieve_primes
+    The cache at least doubles when it grows, so a run of ascending
+    requests (one per radicand of a sweep) re-sieves O(log n) times.
+    """
+    global _sieve_limit, _sieve_primes
+    if n > _sieve_limit:
+        limit = max(n, 2 * _sieve_limit)
+        flags = bytearray(b"\x01") * (limit + 1)
+        flags[0:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
+        _sieve_primes = [i for i in range(2, limit + 1) if flags[i]]
+        _sieve_limit = limit
+    if n == _sieve_limit:
+        return _sieve_primes
+    return _sieve_primes[: bisect.bisect_right(_sieve_primes, n)]
 
 
 def is_prime(n: int) -> bool:

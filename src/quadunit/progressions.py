@@ -14,9 +14,10 @@ square-free candidates that fail that comparison are kept in an explicit
 exceptions list, never dropped.
 
 The module also houses the square-free sieve over the values of a
-quadratic polynomial (exact: every prime square up to the value bound is
-cast out by solving the congruence mod p^2) and the quadratic Hensel
-solvability criterion.
+quadratic polynomial (exact: the primes up to the cube root of the value
+bound are divided out at the roots of the form mod p, and what is left of
+each value has at most two prime factors, so it is a square or
+square-free) and the quadratic Hensel solvability criterion.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from fractions import Fraction
 from .arith import (
     BudgetError,
     factorize,
+    introot,
     is_square,
     is_squarefree,
     isqrt,
@@ -216,98 +218,81 @@ def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression
 # square-free sieve over quadratic values
 
 
-def quadratic_roots_mod_p2(A: int, B: int, C: int, p: int) -> list[tuple[int, int]]:
-    """Solution set of A k^2 + B k + C = 0 (mod p^2) as (residue, modulus) pairs.
-
-    Moduli are p^2 for simple roots, p when a double root lifts to the whole
-    fiber.  Assumes p | A implies p^2 | A (true for the progression forms,
-    where A is y~^2 or 4 y^2); anything else falls back to brute force.
-    """
-    pp = p * p
-    if p == 2 or (A % p == 0 and A % pp != 0):
-        return [(k, pp) for k in range(pp) if (A * k * k + B * k + C) % pp == 0]
-    if A % p == 0:
-        # quadratic term vanishes mod p^2
-        b, c = B % pp, C % pp
-        if b == 0:
-            return [(0, 1)] if c == 0 else []
-        if b % p == 0:
-            # (b/p) k + c/p = 0 (mod p), with p not dividing b/p
-            return [((-(c // p) * mod_inverse(b // p, p)) % p, p)] if c % p == 0 else []
-        return [((-c * mod_inverse(b, pp)) % pp, pp)]
-    disc = B * B - 4 * A * C
-    if disc % p:
-        if jacobi(disc % p, p) == -1:
-            return []
-        rt = sqrt_mod_prime(disc % p, p)
-        inv2a = mod_inverse(2 * A % p, p)
-        out = []
-        for r in ((-B + rt) * inv2a % p, (-B - rt) * inv2a % p):
-            # Newton lift: the derivative 2*A*r + B is a unit mod p
-            fr = (A * r * r + B * r + C) % pp
-            corr = fr * mod_inverse((2 * A * r + B) % pp, pp) % pp
-            out.append(((r - corr) % pp, pp))
-        return sorted(set(out))
-    # double root mod p
-    t0 = (-B) * mod_inverse(2 * A % p, p) % p
-    if (A * t0 * t0 + B * t0 + C) % pp == 0:
-        return [(t0, p)]
-    return []
+def _roots_mod_p(A: int, B: int, C: int, p: int):
+    """The residues k mod p with p | A k^2 + B k + C."""
+    if p == 2:
+        return [k for k in (0, 1) if (A * k * k + B * k + C) % 2 == 0]
+    a, b, c = A % p, B % p, C % p
+    if a == 0:
+        if b:
+            return [-c * mod_inverse(b, p) % p]
+        return range(p) if c == 0 else ()
+    inv2a = mod_inverse(2 * a, p)
+    disc = (b * b - 4 * a * c) % p
+    if disc == 0:
+        return [-b * inv2a % p]
+    if pow(disc, (p - 1) // 2, p) != 1:  # Euler's criterion
+        return ()
+    rt = sqrt_mod_prime(disc, p)
+    return [(-b + rt) * inv2a % p, (-b - rt) * inv2a % p]
 
 
-def _abs_value_bound(A: int, B: int, C: int, count: int) -> int:
-    """max |A k^2 + B k + C| over 0 <= k < count (endpoints and vertex)."""
-    points = {0, count - 1}
-    if A:
-        vertex = -B // (2 * A)
-        for k in (vertex, vertex + 1):
-            if 0 <= k < count:
-                points.add(k)
-    return max(max(abs(A * k * k + B * k + C) for k in points), 1)
+def _sieve(A: int, B: int, C: int, count: int) -> tuple[list[int], list[int]]:
+    """(square parts, cofactors) of |A k^2 + B k + C| for 0 <= k < count.
 
-
-def _sieve_roots(A: int, B: int, C: int, count: int):
-    """Yield (p, r, mod): p^2 divides A k^2 + B k + C for k = r (mod mod).
-
-    Runs over every prime p up to the square root of the largest |value|
-    for 0 <= k < count, so every square factor of a value is reached.
+    Every prime p <= P0 = floor(vmax^(1/3)) + 1, vmax the largest |value|,
+    is divided out of the values at the roots of the form mod p, with its
+    multiplicity.  A zero value keeps cofactor 0 and square part 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    vmax = _abs_value_bound(A, B, C, count)
-    for p in primes_up_to(isqrt(vmax) + 1):
-        for r, mod in quadratic_roots_mod_p2(A, B, C, p):
-            yield p, r, mod
+    vals = [abs((A * k + B) * k + C) for k in range(count)]
+    sq = [1] * count
+    for p in primes_up_to(introot(max(vals), 3) + 1):
+        for r in _roots_mod_p(A, B, C, p):
+            for k in range(r, count, p):
+                v = vals[k] // p
+                if not v:
+                    continue  # a zero value
+                e = 1
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                vals[k] = v
+                if e > 1:
+                    sq[k] *= p ** (e - e % 2)
+    for k, c in enumerate(vals):
+        if c > 1 and is_square(c):
+            sq[k] *= c
+    return sq, vals
 
 
 def squarefree_flags_quadratic(A: int, B: int, C: int, count: int) -> bytearray:
     """flags[k] == 1 iff A k^2 + B k + C is square-free, for 0 <= k < count.
 
-    Exact: every prime p with p^2 possibly dividing a value (p up to the
-    square root of the largest value) is cast out.
+    Exact by the cube bound: once the primes up to P0 > vmax^(1/3) are
+    divided out, a nonzero cofactor c <= vmax < P0^3 has at most two prime
+    factors, all above P0, so c is 1, q, q*r or q^2 and is square-free
+    unless it is a square above 1.  The sieve runs over the primes up to
+    vmax^(1/3), not vmax^(1/2), plus one square test per value.  A zero
+    value gets flag 0.
     """
-    flags = bytearray(b"\x01") * count
-    for _, r, mod in _sieve_roots(A, B, C, count):
-        if r < count:  # for most large p every root lies beyond count
-            flags[r::mod] = b"\x00" * len(range(r, count, mod))
-    return flags
+    sq, cof = _sieve(A, B, C, count)
+    return bytearray(s == 1 and c != 0 for s, c in zip(sq, cof))
 
 
 def square_parts_quadratic(A: int, B: int, C: int, count: int) -> list[int]:
     """sq[k] = largest square dividing |A k^2 + B k + C| (a zero value gets 1).
 
-    Same sieve as :func:`squarefree_flags_quadratic`, but the marked values
-    are divided out so the full square part is recovered exactly.
+    Exact by the cube bound: the primes up to P0 > vmax^(1/3) are divided
+    out with their multiplicity; the nonzero cofactor c <= vmax < P0^3 left
+    has at most two prime factors, all above P0, so its square part is c
+    when c is a perfect square (c = q^2) and 1 otherwise.  The sieve runs
+    over the primes up to vmax^(1/3), not vmax^(1/2), plus one square test
+    per value.  The same bound makes :func:`quadunit.arith.squarefree_kernel`
+    exact.
     """
-    vals = [abs(A * k * k + B * k + C) for k in range(count)]
-    sq = [1] * count
-    for p, r, mod in _sieve_roots(A, B, C, count):
-        pp = p * p
-        for k in range(r, count, mod):
-            while vals[k] and vals[k] % pp == 0:
-                vals[k] //= pp
-                sq[k] *= pp
-    return sq
+    return _sieve(A, B, C, count)[0]
 
 
 def empirical_density(prog: Progression, k_max: int) -> Fraction:
@@ -494,12 +479,14 @@ def coverage_report(
     exception when it only appears in exceptions lists.
     """
     witnesses: dict[int, int] = {}
+    parts = square_parts_quadratic(1, 0, -4 * mu, t_max + 1) if t_max >= 2 else []
     for t in range(2, t_max + 1):
         disc = t * t - 4 * mu
-        if disc <= 0 or is_square(disc):
+        if disc <= 0:
             continue
-        kernel, _ = squarefree_kernel(disc)
-        witnesses.setdefault(kernel, t)
+        kernel = disc // parts[t]
+        if kernel > 1:
+            witnesses.setdefault(kernel, t)
     prog_cache: dict[IndexPair, Progression] = {}
     rows = []
     for d in sorted(witnesses):

@@ -336,3 +336,84 @@ def conjugate_coprime_bruteforce(basis) -> bool:
         ]
     )
     return A == 1 and C == 1
+
+
+def quadratic_roots_mod_p2(A: int, B: int, C: int, p: int) -> list[tuple[int, int]]:
+    """Solution set of A k^2 + B k + C = 0 (mod p^2) as (residue, modulus) pairs.
+
+    Moduli are p^2 for simple roots, p when a double root lifts to the whole
+    fiber.  Assumes p | A implies p^2 | A (true for the progression forms,
+    where A is y~^2 or 4 y^2); anything else falls back to brute force.
+    """
+    from quadunit.arith import jacobi, sqrt_mod_prime
+
+    pp = p * p
+    if p == 2 or (A % p == 0 and A % pp != 0):
+        return [(k, pp) for k in range(pp) if (A * k * k + B * k + C) % pp == 0]
+    if A % p == 0:
+        # quadratic term vanishes mod p^2
+        b, c = B % pp, C % pp
+        if b == 0:
+            return [(0, 1)] if c == 0 else []
+        if b % p == 0:
+            # (b/p) k + c/p = 0 (mod p), with p not dividing b/p
+            return [((-(c // p) * pow(b // p, -1, p)) % p, p)] if c % p == 0 else []
+        return [((-c * pow(b, -1, pp)) % pp, pp)]
+    disc = B * B - 4 * A * C
+    if disc % p:
+        if jacobi(disc % p, p) == -1:
+            return []
+        rt = sqrt_mod_prime(disc % p, p)
+        inv2a = pow(2 * A % p, -1, p)
+        out = []
+        for r in ((-B + rt) * inv2a % p, (-B - rt) * inv2a % p):
+            # Newton lift: the derivative 2*A*r + B is a unit mod p
+            fr = (A * r * r + B * r + C) % pp
+            corr = fr * pow((2 * A * r + B) % pp, -1, pp) % pp
+            out.append(((r - corr) % pp, pp))
+        return sorted(set(out))
+    # double root mod p
+    t0 = (-B) * pow(2 * A % p, -1, p) % p
+    if (A * t0 * t0 + B * t0 + C) % pp == 0:
+        return [(t0, p)]
+    return []
+
+
+def _roots_mod_p2_up_to_sqrt(A: int, B: int, C: int, count: int):
+    """(p, r, mod) with p^2 | A k^2 + B k + C for k = r (mod mod), for every
+    prime p up to the square root of the largest |value| with 0 <= k < count."""
+    vmax = max(max(abs(A * k * k + B * k + C) for k in range(count)), 1)
+    flags = bytearray(b"\x01") * (math.isqrt(vmax) + 2)
+    for p in range(2, len(flags)):
+        if flags[p]:
+            flags[p * p :: p] = b"\x00" * len(range(p * p, len(flags), p))
+            for r, mod in quadratic_roots_mod_p2(A, B, C, p):
+                yield p, r, mod
+
+
+def squarefree_flags_mod_p2(A: int, B: int, C: int, count: int) -> bytearray:
+    """flags[k] == 1 iff A k^2 + B k + C is square-free, by casting out the
+    roots mod p^2 of every prime square up to the largest value.
+
+    A zero value is divisible by every p^2, so it gets flag 0.
+    """
+    flags = bytearray(b"\x01") * count
+    for _, r, mod in _roots_mod_p2_up_to_sqrt(A, B, C, count):
+        if r < count:
+            flags[r::mod] = b"\x00" * len(range(r, count, mod))
+    return flags
+
+
+def square_parts_mod_p2(A: int, B: int, C: int, count: int) -> list[int]:
+    """sq[k] = largest square dividing |A k^2 + B k + C| (a zero value gets 1),
+    dividing p^2 out at the roots mod p^2 of every prime square up to the
+    largest value."""
+    vals = [abs(A * k * k + B * k + C) for k in range(count)]
+    sq = [1] * count
+    for p, r, mod in _roots_mod_p2_up_to_sqrt(A, B, C, count):
+        pp = p * p
+        for k in range(r, count, mod):
+            while vals[k] and vals[k] % pp == 0:
+                vals[k] //= pp
+                sq[k] *= pp
+    return sq

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from quadunit import arith
 from quadunit.arith import (
     Factorization,
     UnfactoredError,
     factor_budget,
     factorize,
+    introot,
     is_prime,
     is_square,
     isqrt,
@@ -37,6 +39,29 @@ def test_isqrt_random():
     big = 10**40 + rng.randrange(10**20)
     r = isqrt(big)
     assert r * r <= big < (r + 1) * (r + 1)
+
+
+def test_introot_exact_at_any_size():
+    # far beyond float range, where a float first guess overflows
+    assert introot(10**400, 2) == 10**200
+    assert introot(10**400, 5) == 10**80
+    r = introot(10**400, 3)
+    assert r**3 <= 10**400 < (r + 1) ** 3
+    big = 10**150 + 12345
+    for k in (2, 3, 5):
+        n = big**k
+        assert introot(n - 1, k) == big - 1
+        assert introot(n, k) == big
+        assert introot(n + 1, k) == big
+    for _ in range(500):
+        n, k = rng.randrange(10 ** rng.randrange(1, 80)), rng.randrange(1, 9)
+        r = introot(n, k)
+        assert r**k <= n < (r + 1) ** k, (n, k)
+    assert [introot(n, 3) for n in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
+    with pytest.raises(ValueError):
+        introot(-1, 3)
+    with pytest.raises(ValueError):
+        introot(8, 0)
 
 
 def test_squarefree_kernel_examples():
@@ -139,6 +164,20 @@ def test_is_prime_small():
     primes = set(primes_up_to(1000))
     for n in range(1000):
         assert is_prime(n) == (n in primes)
+
+
+def test_primes_up_to_any_request_order(monkeypatch):
+    # the cache grows at least twofold and answers smaller requests by slicing
+    monkeypatch.setattr(arith, "_sieve_limit", 0)
+    monkeypatch.setattr(arith, "_sieve_primes", [])
+    for n in [0, 1, 2, 3, 10, 11, 12, 13, 97, 5, 98, 200, 199, 1000, 3, 1001, 2]:
+        assert primes_up_to(n) == [p for p in range(2, n + 1) if is_prime(p)], n
+    # one request per radicand of an ascending sweep: a handful of sieves
+    limits = set()
+    for n in range(1002, 40000):
+        assert len(primes_up_to(n)) >= 168
+        limits.add(arith._sieve_limit)
+    assert len(limits) <= 7 and primes_up_to(40000)[-1] == 39989
 
 
 def test_sqrt_mod_prime():

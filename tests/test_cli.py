@@ -9,6 +9,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quadunit import cli, contfrac, quadfield
 from quadunit.arith import UnfactoredError, factor_budget
@@ -360,6 +362,15 @@ def test_parallel_bound_sweep_matches_serial(monkeypatch, capsys):
         serial = run_cli(*argv, capsys=capsys)
         for jobs in ("2", "3"):
             assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial, (limit, jobs)
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 300))
+def test_parallel_bound_sweep_matches_serial_property(monkeypatch, capsys, mu, limit):
+    # two pool workers at most, whatever the host reports
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--format", "csv", "survey", "bound", "--mu", str(mu), "--limit", str(limit))
+    assert run_cli("--jobs", "2", *argv, capsys=capsys) == run_cli(*argv, capsys=capsys)
 
 
 def test_rerun_byte_identical(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadunit.arith import factorize, is_squarefree, primes_up_to, squarefree_kernel
+from quadunit.arith import factorize, introot, is_prime, is_squarefree, primes_up_to, squarefree_kernel
 from quadunit.progressions import (
     IndexPair,
     ScanBudgetError,
@@ -19,7 +19,6 @@ from quadunit.progressions import (
     index_pairs,
     omega_p_predicted,
     predicted_density,
-    quadratic_roots_mod_p2,
     solve_n0,
     square_parts_quadratic,
     squarefree_flags,
@@ -27,7 +26,13 @@ from quadunit.progressions import (
 )
 from quadunit.quadfield import QuadInt, field_context
 
-from oracles import hensel_quadratic_scan, omega_p_count
+from oracles import (
+    hensel_quadratic_scan,
+    omega_p_count,
+    quadratic_roots_mod_p2,
+    square_parts_mod_p2,
+    squarefree_flags_mod_p2,
+)
 
 rng = random.Random(0xFEED)
 
@@ -224,11 +229,7 @@ def test_square_parts_quadratic_vs_factorization():
         squarefree_flags_quadratic(1, 0, -8, 0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-20, 20), st.integers(-200, 200), st.integers(-2000, 2000), st.integers(1, 60))
-def test_quadratic_sieve_matches_kernel(A, B, C, count):
-    # any (A, B, C), not only the progression forms: a p | A with p^2 not
-    # dividing A takes the brute-force root path
+def _assert_sieve_matches_kernel(A, B, C, count):
     flags = squarefree_flags_quadratic(A, B, C, count)
     sq = square_parts_quadratic(A, B, C, count)
     assert len(flags) == len(sq) == count
@@ -240,6 +241,65 @@ def test_quadratic_sieve_matches_kernel(A, B, C, count):
         kernel, cof = squarefree_kernel(v)
         assert sq[k] == cof * cof, (k, v)
         assert bool(flags[k]) == (cof == 1), (k, v)
+
+
+@st.composite
+def _prime_square_leading(draw):
+    # A = q^2 for a prime q about the sieve bound P0 = vmax^(1/3) + 1; with
+    # A dominating, vmax ~ q^2 count^2, so q ~ P0 when q ~ count^2
+    count = draw(st.integers(2, 60))
+    q = max(2, (count - 1) ** 2 + draw(st.integers(-40, 40)))
+    while not is_prime(q):
+        q += 1
+    return q * q, draw(st.integers(-200, 200)), draw(st.integers(-2000, 2000)), count
+
+
+_counts = st.integers(1, 60)
+_sieve_forms = st.one_of(
+    # any (A, B, C), not only the progression forms
+    st.tuples(st.integers(-20, 20), st.integers(-200, 200), st.integers(-2000, 2000), _counts),
+    # A = 0: the form is linear, or constant, mod every prime
+    st.tuples(st.just(0), st.integers(-200, 200), st.integers(-2000, 2000), _counts),
+    # a (k - r1)(k - r2): zero values inside the range, all zeros for a = 0
+    st.builds(
+        lambda a, r1, r2, count: (a, -a * (r1 + r2), a * r1 * r2, count),
+        st.integers(-20, 20), st.integers(0, 60), st.integers(-60, 60), _counts,
+    ),
+    # b (k - r): a linear form with a zero value
+    st.builds(lambda b, r, count: (0, b, -b * r, count), st.integers(-50, 50), st.integers(0, 60), _counts),
+    _prime_square_leading(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sieve_forms)
+def test_quadratic_sieve_matches_kernel(form):
+    _assert_sieve_matches_kernel(*form)
+
+
+def test_quadratic_sieve_cube_bound_edge():
+    # k^2 + 1 below count 1000: vmax = 998002 and P0 = 99 + 1 = 100.  The
+    # first prime above P0 is 101; k = 515 gives 2 * 13 * 101^2, whose
+    # cofactor 101^2 is a square.  k = 254 gives 149 * 433: two primes
+    # above P0, square-free.
+    count = 1000
+    assert introot(999 * 999 + 1, 3) + 1 == 100
+    sq = square_parts_quadratic(1, 0, 1, count)
+    flags = squarefree_flags_quadratic(1, 0, 1, count)
+    assert 515 * 515 + 1 == 2 * 13 * 101**2 and (sq[515], flags[515]) == (101**2, 0)
+    assert 254 * 254 + 1 == 149 * 433 and (sq[254], flags[254]) == (1, 1)
+    _assert_sieve_matches_kernel(1, 0, 1, count)
+
+
+def test_quadratic_sieve_matches_mod_p2_oracle():
+    # the density forms of the benchmark pairs (mu, j, y, x), flags
+    for pair in (IndexPair(3, 0, 11, 5), IndexPair(3, 0, 11, 6), IndexPair(5, 0, 11, 4), IndexPair(5, 0, 11, 7)):
+        A, B, C = build_progression(pair).coefficients()
+        assert squarefree_flags_quadratic(A, B, C, 100500) == squarefree_flags_mod_p2(A, B, C, 100500), pair
+    # the trace discriminants m^2 -+ 4 mu, square parts
+    for mu in (1, 2, 3, 5, 7):
+        for C in (-4 * mu, 4 * mu):
+            assert square_parts_quadratic(1, 0, C, 10**5) == square_parts_mod_p2(1, 0, C, 10**5), (mu, C)
 
 
 def test_empirical_density_examples():

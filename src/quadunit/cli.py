@@ -40,7 +40,6 @@ from .survey import (
     f_mu,
     negative_pell,
     rank_correlation,
-    theorem_bound_sweep,
 )
 
 
@@ -307,20 +306,20 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
     if ns.kind == "pell":
         rows = [(d,) for d in negative_pell(ns.limit, route="progression")]
         return _emit(ns, header=("d",), rows=rows)
-    # bound sweep, optionally sharded over trace ranges (merge order is fixed:
-    # chunks ascend, rows inside each chunk ascend, so parallel == serial).
-    # The cost of a trace grows with T, so each worker gets several small
-    # contiguous chunks from pool.map rather than one large one.
+    # bound sweep over trace chunks, serial or on a pool (merge order is
+    # fixed: chunks ascend, rows inside each chunk ascend, so parallel ==
+    # serial).  The cost of a trace grows with T, so each worker gets several
+    # small contiguous chunks from pool.map rather than one large one.
+    tasks = [(ns.mu, lo, hi, ns.factor_budget) for lo, hi in _shard(2, ns.limit, ns.jobs * SHARDS_PER_JOB)]
     if ns.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
 
-        chunks = _shard(2, ns.limit, ns.jobs * SHARDS_PER_JOB)
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            parts = list(pool.map(_bound_chunk, [(ns.mu, lo, hi, ns.factor_budget) for lo, hi in chunks]))
-        rows = [r for part in parts for r in part]
-        report = assemble_bound_report(ns.mu, ns.limit, ns.probe_constant, rows)
+            parts = list(pool.map(_bound_chunk, tasks))
     else:
-        report = theorem_bound_sweep(ns.mu, ns.limit, ns.probe_constant)
+        parts = list(map(_bound_chunk, tasks))
+    rows = [r for part in parts for r in part]
+    report = assemble_bound_report(ns.mu, ns.limit, ns.probe_constant, rows)
     data_rows = [(r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows]
     if ns.format == "csv":
         return _emit(ns, header=("trace", "d", "D", "log_eps", "residual"), rows=data_rows)
@@ -339,12 +338,10 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
 
 
 def _shard(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    span = hi - lo + 1
-    if span <= 0:
-        return []
-    size = (span + jobs - 1) // jobs
-    return [(lo + i * size, min(hi, lo + (i + 1) * size - 1))
-            for i in range(jobs) if lo + i * size <= hi]
+    """At most ``jobs`` contiguous chunks of [lo, hi], ascending.  An empty
+    range is one empty chunk, so its worker still checks the arguments."""
+    size = max(1, -(-(hi - lo + 1) // jobs))
+    return [(a, min(hi, a + size - 1)) for a in range(lo, hi + 1, size)] or [(lo, hi)]
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:

@@ -17,7 +17,9 @@ The module also houses the square-free sieve over the values of a
 quadratic polynomial (exact: the primes up to the cube root of the value
 bound are divided out at the roots of the form mod p, and what is left of
 each value has at most two prime factors, so it is a square or
-square-free) and the quadratic Hensel solvability criterion.
+square-free), the trace scan built on it (t^2 - 4 sigma = f^2 d), the
+inverse from an element to its index pair, and the quadratic Hensel
+solvability criterion.
 """
 
 from __future__ import annotations
@@ -178,6 +180,13 @@ class Progression:
             raise AssertionError(f"non-integral step for {self}")
         return yt * yt, step // pair.y, self.t
 
+    def index(self, n: int) -> int:
+        """The k with n = n_start + k * modulus; AssertionError off the grid."""
+        k, r = divmod(n - self.n_start, self.modulus)
+        if k < 0 or r:
+            raise AssertionError(f"parameter n={n} is off the grid of {self}")
+        return k
+
     def element(self, k: int) -> int:
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -293,6 +302,24 @@ def square_parts_quadratic(A: int, B: int, C: int, count: int) -> list[int]:
     exact.
     """
     return _sieve(A, B, C, count)[0]
+
+
+def trace_kernels(sigma: int, t_min: int, t_max: int):
+    """Yield (t, d, f) with t^2 - 4 sigma = f^2 d, d > 1 square-free.
+
+    t ascends over [t_min, t_max]; a trace whose discriminant is <= 0 or a
+    square is skipped.  The square parts come from one sieve of the form
+    (t_min + k)^2 - 4 sigma, so every trace scan shares its exactness.
+    """
+    if t_max < t_min:
+        return
+    count = t_max - t_min + 1
+    parts = square_parts_quadratic(1, 2 * t_min, t_min * t_min - 4 * sigma, count)
+    four_sigma = 4 * sigma
+    for t, sq in zip(range(t_min, t_max + 1), parts):
+        disc = t * t - four_sigma
+        if disc > sq:  # positive and not a square: sq divides disc
+            yield t, disc // sq, math.isqrt(sq)
 
 
 def empirical_density(prog: Progression, k_max: int) -> Fraction:
@@ -434,34 +461,43 @@ class CoverageReport:
     rows: tuple[WitnessStatus, ...]
 
 
+def pair_of(mu: int, j: int, y: int, s: int) -> tuple[IndexPair, int] | None:
+    """The index pair and parameter n of an element of norm mu, or None.
+
+    The element is s + y*sqrt(d) for j = 0, with s = n y + x, and
+    (s + y*sqrt(d))/2 for j = 1 (y odd), with s = (2n+1) y + 2x.  None
+    when s falls on no admissible (x, n): gcd(x, y) > 1 or n < 0.
+    """
+    if j == 0:
+        x = s % y
+        rem = s - x
+    else:
+        if y % 2 == 0:
+            return None
+        x = s * mod_inverse(2, y) % y if y > 1 else 0
+        rem = s - 2 * x - y  # 2 n y
+    if rem < 0 or math.gcd(x, y) != 1:
+        return None
+    n, r = divmod(rem, y * (j + 1))
+    if r:
+        return None
+    return IndexPair(mu, j, y, x), n
+
+
 def _pairs_containing(mu: int, d: int, y_max: int):
     """Index pairs whose progression grid passes through radicand d.
 
-    Yields (pair, n): branch 0 needs y^2 d + mu to be a square s^2 with
-    s = n y + x; branch 1 (d = 1 mod 4 only) needs y^2 d + 4 mu = s^2 with
-    s = (2n+1) y + 2x.
+    Yields (pair, n): branch 0 needs y^2 d + mu to be a square s^2, branch 1
+    (d = 1 mod 4 only) needs y^2 d + 4 mu = s^2; :func:`pair_of` places s.
     """
-    for y in range(1, y_max + 1):
-        val = y * y * d + mu
-        if val >= 0 and is_square(val):
-            s = isqrt(val)
-            x = s % y if y > 1 else 0
-            if math.gcd(x, y) == 1 and s >= x:
-                yield IndexPair(mu, 0, y, x), (s - x) // y
-    if d % 4 == 1:
-        for y in range(1, y_max + 1, 2):
-            val = y * y * d + 4 * mu
-            if val < 0 or not is_square(val):
-                continue
-            s = isqrt(val)
-            x = s * mod_inverse(2, y) % y if y > 1 else 0
-            rem = s - 2 * x
-            if rem <= 0 or rem % y:
-                continue
-            q = rem // y
-            if q % 2 == 0 or math.gcd(x, y) != 1:
-                continue
-            yield IndexPair(mu, 1, y, x), (q - 1) // 2
+    branches = ((0, mu), (1, 4 * mu)) if d % 4 == 1 else ((0, mu),)
+    for j, norm in branches:
+        for y in range(1, y_max + 1, j + 1):
+            val = y * y * d + norm
+            if val >= 0 and is_square(val):
+                found = pair_of(mu, j, y, isqrt(val))
+                if found is not None:
+                    yield found
 
 
 def coverage_report(
@@ -473,20 +509,15 @@ def coverage_report(
 ) -> CoverageReport:
     """Check that every witness radicand lands in some progression.
 
-    Witnesses are the square-free kernels of T^2 - 4 mu over 1 < T <= t_max
-    (positive, non-square).  A witness d is covered when d = element(k) of
-    some started progression with y <= y_max and 0 <= k <= k_max, and an
-    exception when it only appears in exceptions lists.
+    Witnesses are the square-free kernels d > 1 of T^2 - 4 mu over
+    1 < T <= t_max, read from :func:`trace_kernels`.  A witness d is
+    covered when d = element(k) of some started progression with
+    y <= y_max and 0 <= k <= k_max, and an exception when it only appears
+    in exceptions lists.
     """
     witnesses: dict[int, int] = {}
-    parts = square_parts_quadratic(1, 0, -4 * mu, t_max + 1) if t_max >= 2 else []
-    for t in range(2, t_max + 1):
-        disc = t * t - 4 * mu
-        if disc <= 0:
-            continue
-        kernel = disc // parts[t]
-        if kernel > 1:
-            witnesses.setdefault(kernel, t)
+    for t, d, _ in trace_kernels(mu, 2, t_max):
+        witnesses.setdefault(d, t)
     prog_cache: dict[IndexPair, Progression] = {}
     rows = []
     for d in sorted(witnesses):
@@ -497,9 +528,7 @@ def coverage_report(
                 prog = build_progression(pair, scan_limit)
                 prog_cache[pair] = prog
             if d >= prog.t:
-                if (n - prog.n_start) % prog.modulus:
-                    raise AssertionError(f"witness {d} off-grid for {pair}")
-                k = (n - prog.n_start) // prog.modulus
+                k = prog.index(n)
                 if k <= k_max:
                     best = ("covered", pair, k)
                     break

@@ -25,11 +25,10 @@ from .arith import (
     isqrt,
     jacobi,
     squarefree_integers_upto,
-    squarefree_kernel,
 )
 from .contfrac import _half_cycle, expand_omega, fundamental_unit, regulator
 from .ideals import principal_basis
-from .progressions import IndexPair, build_progression, square_parts_quadratic
+from .progressions import build_progression, pair_of, trace_kernels
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
 
 
@@ -152,35 +151,25 @@ def _unit_map(trace_max: int) -> dict[int, tuple[int, int]]:
     """d -> (trace, sqrt coeff) of the fundamental unit, for all fields whose
     fundamental unit has trace <= trace_max.
 
-    Scanning traces ascending visits every unit > 1 in increasing order, so
-    the first hit per radicand is the fundamental unit itself.
+    Units > 1 of norm +-1 ascend with their trace, so the least trace that
+    :func:`trace_kernels` yields for a radicand, over both norms, belongs to
+    the fundamental unit itself.
     """
     eps: dict[int, tuple[int, int]] = {}
-    count = trace_max + 1
-    parts = {
-        -1: square_parts_quadratic(1, 0, 4, count),  # norm -1: disc m^2 + 4
-        1: square_parts_quadratic(1, 0, -4, count),  # norm +1: disc m^2 - 4
-    }
-    for m in range(count):
-        for sigma in (-1, 1):
-            disc = m * m - 4 * sigma
-            if disc <= 0:
-                continue
-            sq = parts[sigma][m]
-            d = disc // sq
-            if d == 1:
-                continue
-            eps.setdefault(d, (m, isqrt(sq)))
+    for sigma in (-1, 1):
+        for m, d, f in trace_kernels(sigma, 0, trace_max):
+            if d not in eps or m < eps[d][0]:
+                eps[d] = (m, f)
     return eps
 
 
 def E_mu(mu: int, x_bound) -> EMuReport:
     """Count minimal elements of absolute norm mu in (1, x_bound).
 
-    Scans traces and both signed norms, reduces each discriminant to its
-    square-free kernel, and tests minimality against a table of small
-    fundamental units (fields absent from the table have eps_d beyond
-    x_bound, making every candidate minimal).
+    Scans traces and both signed norms, reading each discriminant's
+    square-free kernel from :func:`trace_kernels`, and tests minimality
+    against a table of small fundamental units (fields absent from the
+    table have eps_d beyond x_bound, making every candidate minimal).
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
@@ -200,29 +189,14 @@ def _e_mu_trace(mu: int, x: Fraction) -> list[EMuEntry]:
         return []
     m_max = int(x) + mu + 2
     units = _unit_map(int(x) + 2)
-    count = m_max + 1
-    parts = {
-        mu: square_parts_quadratic(1, 0, -4 * mu, count),
-        -mu: square_parts_quadratic(1, 0, 4 * mu, count),
-    }
     out = []
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
-    for m in range(-mu, 0):
-        disc = m * m + 4 * mu
-        kernel, cof = squarefree_kernel(disc)
-        if kernel == 1:
-            continue
-        _consider(out, units, x, m, -mu, kernel, cof)
-    for m in range(count):
-        for sigma in (mu, -mu):
-            disc = m * m - 4 * sigma
-            if disc <= 0:
-                continue
-            sq = parts[sigma][m]
-            if disc == sq:
-                continue  # rational root
-            _consider(out, units, x, m, sigma, disc // sq, isqrt(sq))
+    for t, d, f in trace_kernels(-mu, 1, mu):
+        _consider(out, units, x, -t, -mu, d, f)
+    for sigma in (mu, -mu):
+        for m, d, f in trace_kernels(sigma, 0, m_max):
+            _consider(out, units, x, m, sigma, d, f)
     return out
 
 
@@ -255,19 +229,12 @@ class FMuReport:
 
 
 def f_mu(mu: int, n_bound: int) -> FMuReport:
-    """Distinct square-free kernels of T^2 - 4 mu over 1 < T < n_bound."""
+    """Distinct square-free kernels d > 1 of T^2 - 4 mu over 1 < T < n_bound,
+    read from :func:`trace_kernels`."""
     liminf = 2.0 ** -factorize(abs(mu)).omega()
     if n_bound <= 2:
         return FMuReport(mu, n_bound, 0, 0.0, liminf, ())
-    parts = square_parts_quadratic(1, 0, -4 * mu, n_bound)
-    kernels = set()
-    for t in range(2, n_bound):
-        disc = t * t - 4 * mu
-        if disc <= 0:
-            continue
-        d = disc // parts[t]
-        if d > 1:
-            kernels.add(d)
+    kernels = {d for _, d, _ in trace_kernels(mu, 2, n_bound - 1)}
     return FMuReport(
         mu,
         n_bound,
@@ -381,7 +348,7 @@ def theorem_bound_sweep(
     """Residuals of log(eps_d) against the quadratic-in-log lower bound.
 
     For each admissible trace T the radicand is the square-free kernel of
-    T^2 - 4 mu and the residual is
+    T^2 - 4 mu, read from :func:`trace_kernels`, and the residual is
 
         r(T) = log eps_d - [ (log(sqrt(D)/2))^2 / log mu
                              - (3 - 2 log 2 / log mu) log(sqrt(D)/2) ].
@@ -390,8 +357,6 @@ def theorem_bound_sweep(
     envelope is reported; regulators come from the half-period continued
     fraction walk (certified well below 1e-9 relative error).
     """
-    if mu < 2 or not is_squarefree(mu):
-        raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
     rows = _bound_rows(mu, t_min, t_max)
     return assemble_bound_report(mu, t_max, probe_constant, rows)
 
@@ -426,22 +391,18 @@ def assemble_bound_report(
 
 
 def _bound_rows(mu: int, t_min: int, t_max: int) -> list[BoundRow]:
-    """Sweep worker: rows for traces in [t_min, t_max], ascending."""
-    if t_max < t_min:
-        return []
-    offset = t_min
-    parts = square_parts_quadratic(1, 2 * offset, offset * offset - 4 * mu, t_max - t_min + 1)
+    """Sweep worker: rows for traces in [t_min, t_max], ascending.
+
+    The serial sweep and every ``--jobs`` shard run this, so mu is checked
+    here, before the range is looked at.
+    """
+    if mu < 2 or not is_squarefree(mu):
+        raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
     log_mu = math.log(mu)
     coeff = 3.0 - 2.0 * math.log(2) / log_mu
     regs: dict[int, float] = {}
     rows = []
-    for t in range(t_min, t_max + 1):
-        disc = t * t - 4 * mu
-        if disc <= 0:
-            continue
-        d = disc // parts[t - offset]
-        if d == 1:
-            continue
+    for t, d, _ in trace_kernels(mu, t_min, t_max):
         reg = regs.get(d)
         if reg is None:
             reg = regulator(field_context(d))
@@ -505,23 +466,12 @@ def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
 def _assert_unit_progression_membership(ctx: FieldContext, eps: QuadInt) -> None:
     """Re-derive d from the mu = -1 progression of the unit's index pair."""
     d = ctx.d
-    if ctx.is_half and eps.b % 2 == 1:
-        j, y = 1, eps.b
-        x = eps.a % y if y > 1 else 0
-        n = (eps.a - x) // y
-    else:
-        # unit lies in Z[sqrt(d)]
-        if ctx.is_half:
-            a, b = eps.a + eps.b // 2, eps.b // 2
-        else:
-            a, b = eps.a, eps.b
-        j, y = 0, b
-        x = a % y if y > 1 else 0
-        n = (a - x) // y
-    pair = IndexPair(-1, j, y, x)
+    u, v = eps.half_coords()  # eps = (u + v sqrt(d))/2, u = v (mod 2)
+    j = v % 2  # j = 0: eps = u/2 + (v/2) sqrt(d) lies in Z[sqrt(d)]
+    found = pair_of(-1, j, v, u) if j else pair_of(-1, j, v // 2, u // 2)
+    if found is None:
+        raise AssertionError(f"unit of d={d} has no index pair")
+    pair, n = found
     prog = build_progression(pair)
-    if n < prog.n_start or (n - prog.n_start) % prog.modulus:
-        raise AssertionError(f"unit of d={d} missing from its own progression")
-    k = (n - prog.n_start) // prog.modulus
-    if prog.element(k) != d:
+    if prog.element(prog.index(n)) != d:
         raise AssertionError(f"progression element mismatch for d={d}")

@@ -98,6 +98,15 @@ def test_survey_e_mu(capsys):
     assert code == 0 and len(rows) == 5
 
 
+def test_survey_e_mu_reads_the_sieve_under_a_tiny_budget(capsys):
+    # the negative-trace discriminants m^2 + 4 mu come from the trace sieve,
+    # not from trial division: 997997 = 7 * 142571 no longer needs the budget
+    argv = ("--format", "csv", "survey", "e-mu", "--mu", "997", "--limit", "50")
+    default = run_cli(*argv, capsys=capsys)
+    assert default[0] == 0 and default[1].startswith("trace,signed_norm,d,sqrt_coeff,value\n-995,-997,994013,")
+    assert run_cli("--factor-budget", "10", *argv, capsys=capsys) == default
+
+
 def test_coverage_command(capsys):
     code, out, _ = run_cli("coverage", "2", "--t-max", "10", "--y-max", "50", capsys=capsys)
     rows = [json.loads(line) for line in out.splitlines()]
@@ -361,6 +370,19 @@ def test_parallel_bound_sweep_matches_serial(monkeypatch, capsys):
         argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", limit)
         serial = run_cli(*argv, capsys=capsys)
         for jobs in ("2", "3"):
+            assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial, (limit, jobs)
+
+
+@pytest.mark.parametrize("mu", [-2, 0, 1, 4])
+def test_parallel_bound_sweep_rejects_mu_as_serial(monkeypatch, capsys, mu):
+    # the --jobs workers run the same mu check as the serial sweep, also
+    # when the trace range is empty
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for limit in ("30", "1"):
+        argv = ("survey", "bound", "--mu", str(mu), "--limit", limit)
+        serial = run_cli(*argv, capsys=capsys)
+        assert serial == (2, "", f"usage error: mu must be a square-free integer >= 2, got {mu}\n")
+        for jobs in ("1", "2"):
             assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial, (limit, jobs)
 
 

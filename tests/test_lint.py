@@ -56,3 +56,24 @@ def test_factor_budget_has_one_channel():
     # context value, and only the CLI reads the environment
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _budget_channel_breach(name, node)]
     assert found == []
+
+
+def _sieve_breach(name, node) -> bool:
+    """node calls or imports the square-part sieve outside progressions.py."""
+    if name == "progressions.py":
+        return False
+    sieve = ("square_parts_quadratic", "_sieve")
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in sieve for alias in node.names)
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id in sieve) or (
+            isinstance(func, ast.Attribute) and func.attr in sieve)
+    return False
+
+
+def test_one_trace_scan():
+    # trace discriminants t^2 - 4 sigma reach the sieve only through
+    # progressions.trace_kernels: a second scan would copy its decisions
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _sieve_breach(name, node)]
+    assert found == []

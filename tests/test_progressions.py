@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadunit.arith import factorize, introot, is_prime, is_squarefree, primes_up_to, squarefree_kernel
+from quadunit.arith import factorize, introot, is_prime, is_square, is_squarefree, primes_up_to, squarefree_kernel
 from quadunit.progressions import (
     IndexPair,
     ScanBudgetError,
@@ -17,12 +17,15 @@ from quadunit.progressions import (
     empirical_density,
     hensel_quadratic,
     index_pairs,
+    _candidate,
     omega_p_predicted,
+    pair_of,
     predicted_density,
     solve_n0,
     square_parts_quadratic,
     squarefree_flags,
     squarefree_flags_quadratic,
+    trace_kernels,
 )
 from quadunit.quadfield import QuadInt, field_context
 
@@ -300,6 +303,52 @@ def test_quadratic_sieve_matches_mod_p2_oracle():
     for mu in (1, 2, 3, 5, 7):
         for C in (-4 * mu, 4 * mu):
             assert square_parts_quadratic(1, 0, C, 10**5) == square_parts_mod_p2(1, 0, C, 10**5), (mu, C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(0, 300), st.integers(-5, 400))
+def test_trace_kernels_match_kernel(sigma, t_min, span):
+    # span < 0 draws empty ranges
+    t_max = t_min + span
+    got = list(trace_kernels(sigma, t_min, t_max))
+    assert [t for t, _, _ in got] == sorted({t for t, _, _ in got})
+    yielded = {t: (d, f) for t, d, f in got}
+    for t in range(t_min, t_max + 1):
+        disc = t * t - 4 * sigma
+        if t in yielded:
+            assert yielded[t] == squarefree_kernel(disc) and yielded[t][0] > 1, t
+        else:
+            assert disc <= 0 or is_square(disc), t
+    assert set(yielded) <= set(range(t_min, t_max + 1))
+
+
+def test_pair_of_inverts_candidate():
+    for mu in (-3, -2, -1, 2, 3, 5):
+        for j in (0, 1):
+            for pair in index_pairs(mu, j, 60):
+                n0, modulus = solve_n0(pair)
+                for n in range(n0, 50, modulus):
+                    _, s = _candidate(pair, n)
+                    assert pair_of(mu, j, pair.y, s) == (pair, n), (pair, n)
+
+
+def test_pair_of_rejects_off_grid_elements():
+    assert pair_of(2, 0, 7, 3) == (IndexPair(2, 0, 7, 3), 0)
+    assert pair_of(2, 0, 7, -4) is None  # n < 0
+    assert pair_of(-1, 0, 4, 2) is None  # gcd(x, y) = 2
+    assert pair_of(5, 1, 1, 1) == (IndexPair(5, 1, 1, 0), 0)
+    assert pair_of(5, 1, 1, -1) is None  # s = (2n+1) y + 2x needs n >= 0
+    assert pair_of(5, 1, 3, 8) is None  # s - 2x = 6 = 2y, an even multiple of y
+    assert pair_of(5, 1, 2, 4) is None  # branch 1 needs odd y
+
+
+def test_progression_index():
+    prog = build_progression(IndexPair(2, 0, 7, 3))
+    for k in range(5):
+        assert prog.index(prog.n_start + k * prog.modulus) == k
+    for n in (prog.n_start + 1, prog.n_start - prog.modulus):
+        with pytest.raises(AssertionError):
+            prog.index(n)
 
 
 def test_empirical_density_examples():

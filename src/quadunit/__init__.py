@@ -32,7 +32,6 @@ from .contfrac import (
     regulator,
     residuals_hold,
     total_quotient,
-    unit_compare,
 )
 from .ideals import (
     IdealBasis,

@@ -50,13 +50,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 
 from .arith import BudgetError, isqrt
-from .quadfield import (
-    FieldContext,
-    QuadInt,
-    field_context,
-    qi_compare,
-    sign_plus_sqrt,
-)
+from .quadfield import FieldContext, QuadInt, field_context, sign_plus_sqrt
 
 
 @dataclass(frozen=True)
@@ -390,26 +384,6 @@ def regulator(ctx: FieldContext) -> float:
     _, Ps, Qs = _principal_cycle(ctx)
     alphas = map(operator.truediv, map(operator.add, Ps, repeat(math.sqrt(ctx.d))), Qs)
     return reduce(operator.add, map(math.log, alphas), 0.0)
-
-
-def unit_compare(ctx: FieldContext, xi: QuadInt) -> int:
-    """Exact sign of xi - eps_d for xi > 0: -1 below, 0 equal, +1 above.
-
-    The logs of xi and eps_d, both from :meth:`QuadInt.log_value`, are
-    compared first.  log_value is accurate to about 1e-12 relative, so the
-    margin 1e-6*(1+R) dwarfs both log errors; anything closer falls back
-    to exact integer comparison with the same eps_d.
-    """
-    eps = fundamental_unit(ctx)
-    R = eps.log_value()
-    lx = xi.log_value()
-    margin = 1e-6 * (1.0 + abs(R))
-    if lx < R - margin:
-        return -1
-    if lx > R + margin:
-        return 1
-    verdict = qi_compare(xi, eps)
-    return {"less": -1, "equal": 0, "greater": 1}[verdict]
 
 
 def expansion_of(d: int) -> CFExpansion:

@@ -32,6 +32,7 @@ from .arith import (
     BudgetError,
     factorize,
     introot,
+    is_prime,
     is_square,
     is_squarefree,
     isqrt,
@@ -41,8 +42,8 @@ from .arith import (
     sqrt_mod_prime,
     squarefree_kernel,
 )
-from .contfrac import unit_compare
-from .quadfield import FieldContext, QuadInt, field_context
+from .contfrac import fundamental_unit
+from .quadfield import FieldContext, QuadInt, field_context, qi_compare
 
 
 class ScanBudgetError(BudgetError):
@@ -215,7 +216,7 @@ def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression
         xi = _witness(pair, n, ctx)
         if xi.norm() != pair.mu:
             raise AssertionError(f"witness of norm {xi.norm()} != mu at n={n}, d={dval} for {pair}")
-        if unit_compare(ctx, xi) <= 0:
+        if qi_compare(xi, fundamental_unit(ctx)) <= 0:
             return Progression(pair, n0, modulus, n, dval, s, tuple(exceptions))
         exceptions.append(dval)
     raise ScanBudgetError(
@@ -411,12 +412,14 @@ def omega_p_predicted(prog: Progression, p: int) -> int:
 
 
 def hensel_quadratic(a2: int, a1: int, a0: int, p: int, m: int) -> bool:
-    """Solvability of a2 x^2 + a1 x + a0 = 0 (mod p^m) for odd p, p not | a2.
+    """Solvability of a2 x^2 + a1 x + a0 = 0 (mod p^m) for odd prime p, p not | a2.
 
     Decided by the discriminant criterion: the congruence is soluble iff
-    a1^2 - 4 a2 a0 is a square modulo p^m.
+    a1^2 - 4 a2 a0 is a square modulo p^m.  The Jacobi symbol decides
+    squares only modulo a prime, so a composite p raises ValueError (and
+    a p beyond is_prime's deterministic range raises UnfactoredError).
     """
-    if p < 3 or p % 2 == 0:
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if a2 % p == 0:
         raise ValueError("leading coefficient must not be divisible by p")

@@ -6,8 +6,10 @@ sqrt(d)) and the field discriminant D.  :class:`QuadInt` elements carry
 exact integer coordinates over the basis {1, w[d]}, so half-integers in
 the d = 1 (mod 4) case need no denominators.
 
-All order comparisons are decided exactly by isolating the sqrt(d) term
-and comparing squares with sign tracking; floating point never decides.
+Every order decision goes through :func:`qi_compare`, which returns the
+exact sign of x - bound (-1, 0 or +1) by isolating the sqrt(d) term and
+comparing squares with sign tracking.  Floating point appears only in
+reports (:meth:`QuadInt.approx`); it never decides an order.
 """
 
 from __future__ import annotations
@@ -203,8 +205,8 @@ class QuadInt:
 
         Uses a 64-fractional-bit integer evaluation of |u + v*sqrt(d)| and a
         bit-length-reduced logarithm, so nothing overflows.  Near-complete
-        cancellation (values far below 1) degrades gracefully; nothing that
-        decides an exact comparison goes through here.
+        cancellation (values far below 1) degrades gracefully.  A report
+        only: no order decision reads it.
         """
         u, v = self.half_coords()
         k = 64
@@ -253,36 +255,36 @@ def parse_quadint(text: str) -> QuadInt:
     return QuadInt(field_context(int(m.group(3))), a, b)
 
 
-def qi_compare(x: QuadInt, bound) -> str:
-    """Exact order of x against a QuadInt (same field) or a rational.
+def qi_compare(x: QuadInt, bound) -> int:
+    """Exact sign of x - bound: -1, 0 or +1.
 
-    Returns "less", "equal" or "greater".
+    bound is a QuadInt of the same field or a rational.
     """
     if isinstance(bound, QuadInt):
         x._require_same_field(bound)
         u1, v1 = x.half_coords()
         u2, v2 = bound.half_coords()
-        s = sign_plus_sqrt(u1 - u2, v1 - v2, x.ctx.d)
-    else:
-        r = Fraction(bound)
-        u, v = x.half_coords()
-        # (u + v*sqrt(d))/2 - p/q has the sign of (u*q - 2*p) + v*q*sqrt(d)
-        s = sign_plus_sqrt(u * r.denominator - 2 * r.numerator, v * r.denominator, x.ctx.d)
-    return "less" if s < 0 else ("greater" if s > 0 else "equal")
+        return sign_plus_sqrt(u1 - u2, v1 - v2, x.ctx.d)
+    r = Fraction(bound)
+    u, v = x.half_coords()
+    # (u + v*sqrt(d))/2 - p/q has the sign of (u*q - 2*p) + v*q*sqrt(d)
+    return sign_plus_sqrt(u * r.denominator - 2 * r.numerator, v * r.denominator, x.ctx.d)
 
 
 def is_minimal(x: QuadInt, eps: QuadInt) -> bool:
-    """True iff x is the least element > 1 among its associates.
+    """True iff x is the least element > 1 among its associates: 1 < x <= eps.
 
-    Convention: x * eps**-1 <= 1 < x, so eps itself is minimal (the unit
-    class's least element above 1).
+    eps is the fundamental unit, so eps itself is minimal (the unit class's
+    least element above 1).  For a unit eps > 1, x <= eps is the same
+    verdict as x * eps**-1 <= 1, decided with no product.
     """
     if abs(eps.norm()) != 1:
         raise ValueError(f"eps = {eps} is not a unit")
     x._require_same_field(eps)
+    if qi_compare(eps, 1) <= 0:
+        raise ValueError(f"eps = {eps} is not > 1")
     if x.b == 0:
         raise ValueError(f"{x} is rational, not a quadratic irrational")
-    if qi_compare(x, 1) != "greater":
+    if qi_compare(x, 1) <= 0:
         raise ValueError(f"{x} is not > 1")
-    deflated = x * eps.unit_inverse()
-    return qi_compare(deflated, 1) != "greater"
+    return qi_compare(x, eps) <= 0

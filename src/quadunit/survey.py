@@ -74,21 +74,31 @@ def _convergent_route_valid(ctx: FieldContext, mu: int) -> bool:
     to D: then every norm-mu ideal is coprime to its conjugate, hence
     reduced, and the reduced principal ideals are exactly the (xi_n).
     """
-    if ctx.is_half:
-        below_omega = (2 * mu + 1) ** 2 < ctx.d
-    else:
-        below_omega = (mu + 1) ** 2 < ctx.d
-    if below_omega:
+    if _below_omega_minus_one(ctx, mu):
         return True
-    return 4 * mu * mu < ctx.discriminant and math.gcd(mu, ctx.discriminant) == 1
+    return _below_half_sqrt_disc(ctx, mu) and math.gcd(mu, ctx.discriminant) == 1
+
+
+def _below_omega_minus_one(ctx: FieldContext, mu: int) -> bool:
+    # mu < w[d] - 1, exactly: 2 mu + 1 < sqrt(d), or mu + 1 < sqrt(d)
+    if ctx.is_half:
+        return (2 * mu + 1) ** 2 < ctx.d
+    return (mu + 1) ** 2 < ctx.d
+
+
+def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
+    # mu < sqrt(D)/2, exactly
+    return 4 * mu * mu < ctx.discriminant
 
 
 def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
-    """Brute enumeration of elements in (1, eps] with |norm| = mu.
+    """Elements above 1 with |norm| = mu inside the search bound, by value.
 
-    Candidates satisfy |value - conj| = v*sqrt(d) <= eps + mu, which bounds
-    the w[d] coordinate; cost is O(eps / sqrt(d)).  Raises BudgetError
-    when that bound exceeds 1e12.
+    The search bound covers (1, eps]: candidates satisfy
+    |value - conj| = v*sqrt(d) <= eps + mu, which bounds the w[d]
+    coordinate; cost is O(eps / sqrt(d)).  Elements above eps inside the
+    bound are returned too; :func:`minimal_elements` keeps x <= eps.
+    Raises BudgetError when the bound exceeds 1e12.
     """
     eps = fundamental_unit(ctx)
     bound = eps.approx() * 1.001 + mu + 2
@@ -114,7 +124,7 @@ def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
                 xi = QuadInt(ctx, num // 2, b)
                 if xi.norm() != target:
                     continue
-                if qi_compare(xi, 1) == "greater" and qi_compare(xi, eps) != "greater":
+                if qi_compare(xi, 1) > 0:
                     out.append(xi)
     return sorted(set(out), key=lambda x: x.approx())
 
@@ -201,6 +211,8 @@ def _e_mu_trace(mu: int, x: Fraction) -> list[EMuEntry]:
 
 
 def _consider(out, units, x: Fraction, m: int, sigma: int, d: int, f: int) -> None:
+    # Raw signs on (m, f, d), not qi_compare: this runs for every candidate
+    # of the trace scan, and a QuadInt per candidate would slow the scan.
     if sign_plus_sqrt(m - 2, f, d) <= 0:
         return  # not above 1
     if not _below_bound(m, f, d, x):
@@ -264,7 +276,7 @@ def split_identity_check(d: int, p: int) -> IdentityVerdict:
     """For split principal p < w[d] - 1: the two minimal generators of the
     conjugate prime ideals multiply to p * eps_d, exactly."""
     ctx = field_context(d)
-    if not _prime_below(ctx, p):
+    if not _below_half_sqrt_disc(ctx, p):
         return IdentityVerdict(d, p, "hypothesis_not_met", "p >= sqrt(D)/2", None, None, None)
     if not _splits(ctx, p):
         return IdentityVerdict(d, p, "hypothesis_not_met", "p inert or ramified", None, None, None)
@@ -289,7 +301,7 @@ def ramified_identity_check(d: int, p: int) -> IdentityVerdict:
     ctx = field_context(d)
     if ctx.is_half:
         return IdentityVerdict(d, p, "hypothesis_not_met", "d = 1 (mod 4)", None, None, None)
-    if (p + 1) ** 2 >= d:
+    if not _below_omega_minus_one(ctx, p):
         return IdentityVerdict(d, p, "hypothesis_not_met", "sqrt(d) - 1 <= p", None, None, None)
     if ctx.discriminant % p:
         return IdentityVerdict(d, p, "hypothesis_not_met", "p unramified", None, None, None)
@@ -301,11 +313,6 @@ def ramified_identity_check(d: int, p: int) -> IdentityVerdict:
     xi = records[0].xi
     holds = (xi * xi).divide_exact(p) == fundamental_unit(ctx)
     return IdentityVerdict(d, p, "ok", "", holds, xi, xi)
-
-
-def _prime_below(ctx: FieldContext, p: int) -> bool:
-    # p < sqrt(D)/2, exactly
-    return 4 * p * p < ctx.discriminant
 
 
 def _splits(ctx: FieldContext, p: int) -> bool:

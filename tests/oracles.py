@@ -183,6 +183,36 @@ def pell_unit_sympy(d: int):
     return best
 
 
+def is_minimal_deflated(x, eps) -> bool:
+    """x * eps**-1 <= 1, the deflation form of minimality (x > 1, eps > 1).
+
+    eps**-1 = N(eps) conj(eps) for a unit; the product's sign against 1 is
+    decided from its coordinates over {1, w[d]}.
+    """
+    y = x * eps.conj().scale(eps.norm())
+    d = x.ctx.d
+    if d % 4 == 1:
+        # a + b (1 + sqrt d)/2 - 1 has the sign of (2a + b - 2) + b sqrt(d)
+        return _sign_plus_sqrt_frac(2 * y.a + y.b - 2, y.b, d) <= 0
+    return _sign_plus_sqrt_frac(y.a - 1, y.b, d) <= 0
+
+
+def mpmath_sign(x, y) -> int:
+    """Sign of x - y for elements a + b*w[d] of one field, from mpmath.
+
+    An irrational x - y has a nonzero integer norm, so |x - y| is at least
+    1/|conj(x - y)|; twice the bits of the coordinates and of d, plus a
+    margin, is then enough working precision to decide the sign.
+    """
+    import mpmath
+
+    d = x.ctx.d
+    bits = max(abs(c).bit_length() for c in (x.a, x.b, y.a, y.b)) + d.bit_length()
+    with mpmath.workprec(2 * bits + 64):
+        w = (1 + mpmath.sqrt(d)) / 2 if d % 4 == 1 else mpmath.sqrt(d)
+        return int(mpmath.sign((x.a + x.b * w) - (y.a + y.b * w)))
+
+
 def _min_half(a, b, d: int = 0):
     if a is None:
         return b

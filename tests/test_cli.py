@@ -80,6 +80,19 @@ def test_hensel_command(capsys):
     assert json.loads(out)["solvable"] is True
 
 
+@pytest.mark.parametrize("p", [9, 15, 21, 25])
+def test_hensel_rejects_composite_p(p, capsys):
+    # the Jacobi symbol decides squares only modulo a prime: 2 is no square
+    # mod 9, yet the symbol (2/9) is 1
+    from quadunit.progressions import hensel_quadratic
+
+    with pytest.raises(ValueError, match="odd prime"):
+        hensel_quadratic(1, 0, -2, p, 1)
+    code, out, err = run_cli("hensel", "1", "0", "-2", str(p), "1", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: p must be an odd prime, got {p}\n"
+
+
 def test_survey_pell(capsys):
     code, out, _ = run_cli("--format", "csv", "survey", "pell", "--limit", "30", capsys=capsys)
     assert code == 0

@@ -21,7 +21,6 @@ from quadunit.contfrac import (
     regulator,
     residuals_hold,
     total_quotient,
-    unit_compare,
 )
 from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
 
@@ -31,6 +30,7 @@ from oracles import (
     linear_cf_walk,
     linear_fundamental_unit,
     linear_regulator,
+    mpmath_sign,
     norm_nu,
     pell_unit_bruteforce,
     pell_unit_sympy,
@@ -308,15 +308,15 @@ def test_delta_within_small_grid():
         assert contfrac._delta_within(*args, qn * qn) == fraction_delta_within(*args), args
 
 
-def test_unit_compare_huge_unit_boundaries():
+def test_qi_compare_huge_unit_boundaries():
     # d = 9199 has a fundamental unit with 91-digit coordinates; the
-    # comparisons one away from it force the exact fallback path
+    # comparisons one away from it are decided exactly
     ctx = field_context(9199)
     eps = fundamental_unit(ctx)
     one = ctx.one()
-    assert unit_compare(ctx, eps) == 0
-    assert unit_compare(ctx, eps + one) == 1
-    assert unit_compare(ctx, eps - one) == -1
+    assert qi_compare(eps, fundamental_unit(ctx)) == 0
+    assert qi_compare(eps + one, fundamental_unit(ctx)) == 1
+    assert qi_compare(eps - one, fundamental_unit(ctx)) == -1
 
 
 def test_regulator_matches_unit_log():
@@ -337,26 +337,25 @@ def test_regulator_against_mpmath():
         assert abs(regulator(ctx) - exact) <= 1e-9 * exact, d
 
 
-def test_unit_compare():
+def test_qi_compare_fundamental_unit():
     for d in (2, 5, 13, 71, 94):
         ctx = field_context(d)
         eps = fundamental_unit(ctx)
-        assert unit_compare(ctx, eps) == 0
-        assert unit_compare(ctx, eps * eps) == 1
-        assert unit_compare(ctx, ctx.one() + ctx.one()) == (1 if eps.approx() < 2 else -1)
-    # agreement with exact comparison on random elements
+        assert qi_compare(eps, fundamental_unit(ctx)) == 0
+        assert qi_compare(eps * eps, fundamental_unit(ctx)) == 1
+        assert qi_compare(ctx.one() + ctx.one(), fundamental_unit(ctx)) == (1 if eps.approx() < 2 else -1)
+    # agreement with an independent mpmath sign on random elements
     for _ in range(200):
         d = rng.choice(SQUAREFREE)
         ctx = field_context(d)
         x = QuadInt(ctx, rng.randrange(1, 500), rng.randrange(1, 500))
-        want = {"less": -1, "equal": 0, "greater": 1}[qi_compare(x, fundamental_unit(ctx))]
-        assert unit_compare(ctx, x) == want
-    # units of hundreds to thousands of bits, where the log margin is tightest
+        eps = fundamental_unit(ctx)
+        assert qi_compare(x, eps) == mpmath_sign(x, eps), (d, x)
+    # units of 293 to 13,783 bits, one away from eps and far from it
     for d in (9199, 9949, 1000099, 9999991):
         ctx = field_context(d)
         eps = fundamental_unit(ctx)
         cases = [eps, QuadInt(ctx, eps.a + 1, eps.b), QuadInt(ctx, eps.a - 1, eps.b),
                  eps * eps, eps * (ctx.one() + QuadInt(ctx, 0, 1))]
         for x in cases:
-            want = {"less": -1, "equal": 0, "greater": 1}[qi_compare(x, eps)]
-            assert unit_compare(ctx, x) == want, (d, x)
+            assert qi_compare(x, fundamental_unit(ctx)) == mpmath_sign(x, eps), (d, x)

@@ -6,13 +6,19 @@ from pathlib import Path
 import quadunit
 
 
-def _library_nodes():
-    """(file name, node) for every AST node of src/quadunit/*.py."""
+def _library_trees():
+    """(file name, module AST) for every file of src/quadunit/*.py."""
     paths = sorted(Path(quadunit.__file__).parent.glob("*.py"))
     assert {p.name for p in paths} >= {"arith.py", "cli.py", "contfrac.py", "progressions.py", "survey.py"}
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            yield path.name, node
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _library_nodes():
+    """(file name, node) for every AST node of src/quadunit/*.py."""
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_no_assert_statements_in_library():
@@ -77,3 +83,37 @@ def test_one_trace_scan():
     # progressions.trace_kernels: a second scan would copy its decisions
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _sieve_breach(name, node)]
     assert found == []
+
+
+class _LogValueUses(ast.NodeVisitor):
+    """Qualified scope of every reference to log_value in one module."""
+
+    def __init__(self, name):
+        self.scope, self.found = [name], []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Attribute(self, node):
+        if node.attr == "log_value":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "log_value":
+            self.found.append(".".join(self.scope))
+
+
+def test_order_is_exact():
+    # the float log is a report: only QuadInt.approx reads it, so no float
+    # decides an order (qi_compare decides every one)
+    found = []
+    for name, tree in _library_trees():
+        uses = _LogValueUses(name)
+        uses.visit(tree)
+        found += uses.found
+    assert found == ["quadfield.py.QuadInt.approx"]

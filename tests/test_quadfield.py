@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from quadunit.arith import is_squarefree
+from quadunit.contfrac import fundamental_unit
 from quadunit.quadfield import (
     FieldContext,
     QuadInt,
@@ -12,7 +14,7 @@ from quadunit.quadfield import (
     qi_compare,
 )
 
-from oracles import float_value
+from oracles import float_value, is_minimal_deflated
 
 rng = random.Random(0x5EED)
 
@@ -69,12 +71,12 @@ def test_mixed_contexts_rejected():
 
 def test_compare_examples():
     c2 = field_context(2)
-    assert qi_compare(QuadInt(c2, 2, 1), QuadInt(c2, 1, 1)) == "greater"
+    assert qi_compare(QuadInt(c2, 2, 1), QuadInt(c2, 1, 1)) == 1
     c71 = field_context(71)
-    assert qi_compare(QuadInt(c71, 59, 7), QuadInt(c71, 3480, 413)) == "less"
+    assert qi_compare(QuadInt(c71, 59, 7), QuadInt(c71, 3480, 413)) == -1
     c5 = field_context(5)
-    assert qi_compare(QuadInt(c5, 0, 1), 1) == "greater"
-    assert qi_compare(QuadInt(c5, 2, 0), 2) == "equal"
+    assert qi_compare(QuadInt(c5, 0, 1), 1) == 1
+    assert qi_compare(QuadInt(c5, 2, 0), 2) == 0
 
 
 def test_compare_against_float_oracle():
@@ -87,9 +89,9 @@ def test_compare_against_float_oracle():
         fy = float_value(y.a, y.b, d, ctx.is_half)
         got = qi_compare(x, y)
         if abs(fx - fy) > 1e-9:
-            assert got == ("less" if fx < fy else "greater")
+            assert got == (-1 if fx < fy else 1)
         else:
-            assert (got == "equal") == (x == y)
+            assert (got == 0) == (x == y)
 
 
 def test_unit_inverse():
@@ -114,11 +116,31 @@ def test_is_minimal_examples():
         is_minimal(QuadInt(c2, 3, 0), eps2)  # rational
     with pytest.raises(ValueError):
         is_minimal(QuadInt(c2, 0, 1), QuadInt(c2, 3, 1))  # not a unit
+    # a unit that is not > 1 is not the fundamental unit
+    with pytest.raises(ValueError):
+        is_minimal(QuadInt(c2, 0, 1), eps2.unit_inverse())
+    with pytest.raises(ValueError):
+        is_minimal(QuadInt(c2, 0, 1), -eps2)
+    with pytest.raises(ValueError):
+        is_minimal(QuadInt(c2, 0, 1), c2.one())
+
+
+def test_is_minimal_matches_deflation_oracle():
+    # 1 < x <= eps decides as x * eps**-1 <= 1 on every small element above 1
+    for d in range(2, 200):
+        if not is_squarefree(d):
+            continue
+        ctx = field_context(d)
+        eps = fundamental_unit(ctx)
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                x = QuadInt(ctx, a, b)
+                if b == 0 or qi_compare(x, 1) <= 0:
+                    continue
+                assert is_minimal(x, eps) == is_minimal_deflated(x, eps), (d, a, b)
 
 
 def test_exactly_one_minimal_associate():
-    from quadunit.contfrac import fundamental_unit
-
     for d in (2, 3, 6, 13, 17, 21, 29):
         ctx = field_context(d)
         eps = fundamental_unit(ctx)
@@ -133,7 +155,7 @@ def test_exactly_one_minimal_associate():
                 y = x * eps**k
                 if y.sign() <= 0:
                     y = -y
-                if qi_compare(y, 1) == "greater" and is_minimal(y, eps):
+                if qi_compare(y, 1) > 0 and is_minimal(y, eps):
                     hits += 1
             assert hits == 1
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadunit.arith import BudgetError
+from quadunit.arith import BudgetError, is_squarefree
 from quadunit.contfrac import fundamental_unit
-from quadunit.quadfield import QuadInt, field_context
+from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
 from quadunit.survey import (
     E_mu,
     f_mu,
@@ -55,6 +55,26 @@ def test_minimal_elements_routes_agree():
             scan = {x for x in _minimal_by_scan(ctx, mu) if is_minimal(x, eps)}
             cf = {r.xi for r in minimal_elements(ctx, mu)}
             assert cf == scan, (d, mu)
+
+
+def test_hypothesis_bound_helpers():
+    # each helper against the inline expressions it replaced and against an
+    # exact comparison in the field: mu + 1 < w[d], and 2 mu < e sqrt(d)
+    from quadunit.survey import _below_half_sqrt_disc, _below_omega_minus_one
+
+    for d in range(2, 3000):
+        if not is_squarefree(d):
+            continue
+        ctx = field_context(d)
+        omega = QuadInt(ctx, 0, 1)
+        for mu in range(1, 61):
+            below_omega = (2 * mu + 1) ** 2 < d if ctx.is_half else (mu + 1) ** 2 < d
+            assert _below_omega_minus_one(ctx, mu) == below_omega == (qi_compare(omega, mu + 1) > 0)
+            if not ctx.is_half:  # the ramified check's form
+                assert (not _below_omega_minus_one(ctx, mu)) == ((mu + 1) ** 2 >= d)
+            below_half = _below_half_sqrt_disc(ctx, mu)
+            assert below_half == (4 * mu * mu < ctx.discriminant)
+            assert below_half == (sign_plus_sqrt(-2 * mu, ctx.sqrt_disc_scale, d) > 0)
 
 
 def test_minimal_by_scan_budget_error():

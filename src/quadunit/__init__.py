@@ -22,13 +22,9 @@ from .arith import (
 from .contfrac import (
     CFExpansion,
     QuadIrr,
-    ResidualBound,
-    alpha_product,
     expand_omega,
-    expansion_of,
     fundamental_unit,
     is_reduced,
-    quotient_norm_residual,
     regulator,
     residuals_hold,
     total_quotient,

@@ -36,6 +36,7 @@ from .quadfield import decimal_approx, field_context, format_quadint
 from .survey import (
     E_mu,
     _bound_rows,
+    _check_probe_constant,
     assemble_bound_report,
     f_mu,
     negative_pell,
@@ -310,6 +311,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
     # fixed: chunks ascend, rows inside each chunk ascend, so parallel ==
     # serial).  The cost of a trace grows with T, so each worker gets several
     # small contiguous chunks from pool.map rather than one large one.
+    _check_probe_constant(ns.probe_constant)
     tasks = [(ns.mu, lo, hi, ns.factor_budget) for lo, hi in _shard(2, ns.limit, ns.jobs * SHARDS_PER_JOB)]
     if ns.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import

@@ -38,6 +38,9 @@ Partial quotients, convergents (p_n, q_n) and the quadratic integers
 xi_n = conj(p_n - q_n w[d]) are produced as lazy streams so
 palindromy/determinant checks up to 2l stay cheap; the absolute norms
 nu_n = |N(xi_n)| are read off the (P, Q) states (see CFExpansion.nu).
+
+:func:`residuals_hold` decides the residual certificate of one period in
+exact integers; :func:`_delta_within` is its delta test.
 """
 
 from __future__ import annotations
@@ -45,12 +48,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
 
 from .arith import BudgetError, isqrt
-from .quadfield import FieldContext, QuadInt, field_context, sign_plus_sqrt
+from .quadfield import FieldContext, QuadInt, sign_plus_sqrt
 
 
 @dataclass(frozen=True)
@@ -245,75 +247,32 @@ def fundamental_unit(ctx: FieldContext) -> QuadInt:
     return QuadInt(ctx, p, q)
 
 
-@dataclass(frozen=True)
-class ResidualBound:
-    """Certified check of alpha_{n+1} = sqrt(D)/nu_n - q_{n-1}/q_n + delta_n."""
+def residuals_hold(exp: CFExpansion) -> bool:
+    """The residual certificate of one period of w[d], exactly, in one pass.
 
-    n: int
-    alpha_below_ratio: bool  # alpha_{n+1} < sqrt(D)/nu_n, exact
-    delta_within_bound: bool | None  # |delta_n| < 4/(q_n^2 sqrt(D)); None at n=0
-    holds: bool  # the contract for this index
-    delta_approx: float
-    bound_approx: float
+    For n >= 0, alpha_{n+1} = sqrt(D)/nu_n - q_{n-1}/q_n + delta_n defines
+    delta_n.  The certificate is alpha_1 < sqrt(D)/nu_0 at n = 0 and
+    |delta_n| < 4/(q_n^2 sqrt(D)) at 1 <= n < l.  Write
+    alpha_{n+1} = (P + sqrt d)/Q and sqrt(D) = e sqrt(d).  Q nu > 0,
+    because the states of w[d] have Q > 0 and nu = |N(xi_n)| > 0 for
+    non-square d, so clearing these denominators keeps every inequality's
+    direction.
 
-
-def quotient_norm_residual(exp: CFExpansion, n: int) -> ResidualBound:
-    """Exact residual check at index n (delta bound applies to n >= 1).
-
-    delta_n = alpha_{n+1} - sqrt(D)/nu_n + q_{n-1}/q_n is A + B sqrt(d) with
-    A = P/Q + q_{n-1}/q_n and B = 1/Q - e/nu, where alpha_{n+1} =
-    (P + sqrt d)/Q and sqrt(D) = e sqrt(d).  Multiplying
+    At n = 0, alpha_1 < sqrt(D)/nu_0 is nu P + (nu - e Q) sqrt(d) < 0, one
+    exact sign.  At n >= 1, delta_n is A + B sqrt(d) with
+    A = P/Q + q_{n-1}/q_n and B = 1/Q - e/nu.  Multiplying
     |delta_n| < 4/(q_n^2 e sqrt d) through by q_n^2 e sqrt(d) and by Q nu
-    clears every denominator.  Q nu > 0, because the states of w[d] have
-    Q > 0 and nu = |N(xi_n)| > 0 for non-square d, so the direction of the
-    inequality is kept:
+    gives
 
         -m < U + V sqrt(d) < m,   U = (nu - e Q) d q_n^2 e,
         V = (P q_n + Q q_{n-1}) q_n e nu,   m = 4 Q nu,
 
-    which :func:`_delta_within` decides in integers (see there).  The cost
-    is about two squarings of q_n-size integers per index, q_n^2 and
-    (P q_n + Q q_{n-1})^2; nu_n comes from the state (see
-    :meth:`CFExpansion.nu`), and no operand reaches the size of q_n^4.  The
-    float fields are reports only and never decide a verdict.  To decide
-    every index of a period at once, :func:`residuals_hold` makes the same
-    decisions in one pass.
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    ctx = exp.ctx
-    d = ctx.d
-    e = ctx.sqrt_disc_scale  # sqrt(D) = e * sqrt(d)
-    nu = exp.nu(n)
-    P, Q = exp.state(n + 1)
-    _, qn = exp.convergent(n)
-    _, qm1 = exp.convergent(n - 1)
-    q2 = qn * qn
-
-    # alpha_{n+1} < sqrt(D)/nu  <=>  nu*P + (nu - Q*e) sqrt(d) < 0
-    alpha_below = sign_plus_sqrt(nu * P, nu - Q * e, d) < 0
-
-    sd = math.sqrt(d)
-    delta_approx = (P + sd) / Q - e * sd / nu + qm1 / qn
-    try:
-        bound_approx = 4.0 / (q2 * e * sd)
-    except OverflowError:
-        bound_approx = 0.0  # report only; the verdict is exact
-    if n == 0:
-        return ResidualBound(n, alpha_below, None, alpha_below, delta_approx, bound_approx)
-    within = _delta_within(d, e, nu, P, Q, qn, qm1, q2)
-    return ResidualBound(n, alpha_below, within, within, delta_approx, bound_approx)
-
-
-def residuals_hold(exp: CFExpansion) -> bool:
-    """all(quotient_norm_residual(exp, n).holds for n < l), in one pass.
-
-    The verdicts are the same exact ones: alpha_1 < sqrt(D)/nu_0 at n = 0,
-    then the delta bound through :func:`_delta_within` at 1 <= n < l, on
-    the convergent denominators q_n themselves.  They are carried in two
-    locals instead of the expansion's convergent lists, and no
-    ResidualBound or float report is built.  The big-integer products on
-    q_n remain, so the cost still grows about as l^2 in bit operations, and
+    which :func:`_delta_within` decides in integers.  nu_n comes from the
+    state (see :meth:`CFExpansion.nu`), and q_{n-1}, q_n are carried in two
+    locals instead of the expansion's convergent lists.  Each index costs
+    about two squarings of q_n-size integers, q_n^2 and
+    (P q_n + Q q_{n-1})^2, and no operand reaches the size of q_n^4; over
+    the period the cost still grows about as l^2 in bit operations, and
     MAX_CF_STEPS does not bound it.
     """
     ctx = exp.ctx
@@ -334,7 +293,7 @@ def residuals_hold(exp: CFExpansion) -> bool:
 
 
 def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int, q2: int) -> bool:
-    """-m < U + V sqrt(d) < m (see :func:`quotient_norm_residual`), exactly.
+    """-m < U + V sqrt(d) < m, exactly: the delta test of :func:`residuals_hold`.
 
     Needs Q, nu, qn > 0 and q2 = qn^2.  U and V share the factor g = e q_n,
     so with u = c d q_n, v = w nu, c = nu - e Q and w = P q_n + Q q_{n-1}
@@ -358,16 +317,6 @@ def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int, q2
     return sign_plus_sqrt(U - m, V, d) < 0 and sign_plus_sqrt(U + m, V, d) > 0
 
 
-def alpha_product(exp: CFExpansion) -> tuple[Fraction, Fraction]:
-    """prod_{i=1..l} alpha_i as exact (A, B) with value A + B*sqrt(d)."""
-    d = exp.ctx.d
-    A, B = Fraction(1), Fraction(0)
-    for i in range(1, exp.l + 1):
-        P, Q = exp.state(i)
-        A, B = (A * P + B * d) / Q, (A + B * P) / Q
-    return A, B
-
-
 def regulator(ctx: FieldContext) -> float:
     """log(eps_d) as the sum of log(alpha_i) over one period.
 
@@ -384,7 +333,3 @@ def regulator(ctx: FieldContext) -> float:
     _, Ps, Qs = _principal_cycle(ctx)
     alphas = map(operator.truediv, map(operator.add, Ps, repeat(math.sqrt(ctx.d))), Qs)
     return reduce(operator.add, map(math.log, alphas), 0.0)
-
-
-def expansion_of(d: int) -> CFExpansion:
-    return expand_omega(field_context(d))

@@ -50,6 +50,12 @@ class ScanBudgetError(BudgetError):
     """The progression start was not found within the scan budget."""
 
 
+def _check_mu(mu: int) -> None:
+    # 0 first: is_squarefree raises on it
+    if mu == 0 or not is_squarefree(mu):
+        raise ValueError(f"mu must be a nonzero square-free integer, got {mu}")
+
+
 @dataclass(frozen=True)
 class IndexPair:
     """Pair (y, x) with x^2 = mu (mod y); j = 1 restricts to odd y."""
@@ -60,8 +66,7 @@ class IndexPair:
     x: int
 
     def __post_init__(self):
-        if self.mu == 0 or not is_squarefree(self.mu):
-            raise ValueError(f"mu must be a nonzero square-free integer, got {self.mu}")
+        _check_mu(self.mu)
         if self.j not in (0, 1):
             raise ValueError(f"j must be 0 or 1, got {self.j}")
         if self.y < 1:
@@ -516,8 +521,10 @@ def coverage_report(
     1 < T <= t_max, read from :func:`trace_kernels`.  A witness d is
     covered when d = element(k) of some started progression with
     y <= y_max and 0 <= k <= k_max, and an exception when it only appears
-    in exceptions lists.
+    in exceptions lists.  mu is checked as for :class:`IndexPair`, before
+    any trace is scanned.
     """
+    _check_mu(mu)
     witnesses: dict[int, int] = {}
     for t, d, _ in trace_kernels(mu, 2, t_max):
         witnesses.setdefault(d, t)

@@ -202,10 +202,8 @@ def _e_mu_trace(mu: int, x: Fraction) -> list[EMuEntry]:
     out = []
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
-    for t, d, f in trace_kernels(-mu, 1, mu):
-        _consider(out, units, x, -t, -mu, d, f)
-    for sigma in (mu, -mu):
-        for m, d, f in trace_kernels(sigma, 0, m_max):
+    for sigma, m_min in ((mu, 0), (-mu, -mu)):
+        for m, d, f in trace_kernels(sigma, m_min, m_max):
             _consider(out, units, x, m, sigma, d, f)
     return out
 
@@ -243,6 +241,8 @@ class FMuReport:
 def f_mu(mu: int, n_bound: int) -> FMuReport:
     """Distinct square-free kernels d > 1 of T^2 - 4 mu over 1 < T < n_bound,
     read from :func:`trace_kernels`."""
+    if mu == 0:
+        raise ValueError(f"mu must be nonzero, got {mu}")
     liminf = 2.0 ** -factorize(abs(mu)).omega()
     if n_bound <= 2:
         return FMuReport(mu, n_bound, 0, 0.0, liminf, ())
@@ -364,8 +364,16 @@ def theorem_bound_sweep(
     envelope is reported; regulators come from the half-period continued
     fraction walk (certified well below 1e-9 relative error).
     """
+    _check_probe_constant(probe_constant)
     rows = _bound_rows(mu, t_min, t_max)
     return assemble_bound_report(mu, t_max, probe_constant, rows)
+
+
+def _check_probe_constant(probe_constant: float) -> None:
+    """Reject a NaN or infinite probe constant, before any sweep runs: it
+    would print as non-JSON and make the violation count meaningless."""
+    if not math.isfinite(probe_constant):
+        raise ValueError(f"probe_constant must be finite, got {probe_constant}")
 
 
 def assemble_bound_report(
@@ -407,13 +415,9 @@ def _bound_rows(mu: int, t_min: int, t_max: int) -> list[BoundRow]:
         raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
     log_mu = math.log(mu)
     coeff = 3.0 - 2.0 * math.log(2) / log_mu
-    regs: dict[int, float] = {}
     rows = []
     for t, d, _ in trace_kernels(mu, t_min, t_max):
-        reg = regs.get(d)
-        if reg is None:
-            reg = regulator(field_context(d))
-            regs[d] = reg
+        reg = regulator(field_context(d))
         D = d if d % 4 == 1 else 4 * d
         x = 0.5 * math.log(D) - math.log(2)
         rows.append(BoundRow(t, d, D, reg, reg - (x * x / log_mu - coeff * x)))

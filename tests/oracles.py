@@ -96,13 +96,14 @@ def norm_nu(exp, n: int) -> int:
     return abs(p * p - d * q * q)
 
 
-def fraction_residual(exp, n: int):
-    """quotient_norm_residual(exp, n) computed with the Fraction check above.
+def fraction_residual(exp, n: int) -> tuple[bool, bool | None]:
+    """(alpha_below, within) at index n of the residual certificate, in Fractions.
 
-    nu_n comes from :func:`norm_nu`, not from the expansion's state.
+    alpha_below is alpha_{n+1} < sqrt(D)/nu_n; within is
+    |delta_n| < 4/(q_n^2 sqrt(D)) from :func:`fraction_delta_within`, and
+    None at n = 0, where the certificate has no delta bound.  nu_n comes
+    from :func:`norm_nu`, not from the expansion's state.
     """
-    from quadunit.contfrac import ResidualBound
-
     d = exp.ctx.d
     e = exp.ctx.sqrt_disc_scale
     nu = norm_nu(exp, n)
@@ -110,16 +111,19 @@ def fraction_residual(exp, n: int):
     _, qn = exp.convergent(n)
     _, qm1 = exp.convergent(n - 1)
     alpha_below = _sign_plus_sqrt_frac(nu * P, nu - Q * e, d) < 0
-    within = fraction_delta_within(d, e, nu, P, Q, qn, qm1)
-    sd = math.sqrt(d)
-    delta_approx = (P + sd) / Q - e * sd / nu + qm1 / qn
-    try:
-        bound_approx = 4.0 / (qn * qn * e * sd)
-    except OverflowError:
-        bound_approx = 0.0
     if n == 0:
-        return ResidualBound(n, alpha_below, None, alpha_below, delta_approx, bound_approx)
-    return ResidualBound(n, alpha_below, within, within, delta_approx, bound_approx)
+        return alpha_below, None
+    return alpha_below, fraction_delta_within(d, e, nu, P, Q, qn, qm1)
+
+
+def alpha_product(exp) -> tuple[Fraction, Fraction]:
+    """prod_{i=1..l} alpha_i as exact (A, B) with value A + B*sqrt(d)."""
+    d = exp.ctx.d
+    A, B = Fraction(1), Fraction(0)
+    for i in range(1, exp.l + 1):
+        P, Q = exp.state(i)
+        A, B = (A * P + B * d) / Q, (A + B * P) / Q
+    return A, B
 
 
 def _sign_plus_sqrt_frac(u: Fraction, v: Fraction, d: int) -> int:

@@ -11,13 +11,7 @@ import random
 from fractions import Fraction
 
 from quadunit.arith import is_squarefree, primes_up_to, squarefree_integers_upto
-from quadunit.contfrac import (
-    alpha_product,
-    expand_omega,
-    expansion_of,
-    fundamental_unit,
-    quotient_norm_residual,
-)
+from quadunit.contfrac import expand_omega, fundamental_unit, residuals_hold
 from quadunit.ideals import (
     count_reduced_formula,
     mu_below_omega,
@@ -44,7 +38,14 @@ from quadunit.survey import (
     theorem_bound_sweep,
 )
 
-from oracles import e_mu_fields, omega_p_count, pell_unit_bruteforce, pell_unit_sympy
+from oracles import (
+    alpha_product,
+    e_mu_fields,
+    fraction_residual,
+    omega_p_count,
+    pell_unit_bruteforce,
+    pell_unit_sympy,
+)
 
 SQFREE_5000 = squarefree_integers_upto(5000)
 
@@ -56,7 +57,7 @@ def _squarefree_range(hi):
 def test_criterion_01_cf_regression():
     want = {2: (1, [2]), 3: (1, [1, 2]), 5: (1, [1]), 13: (2, [3])}
     for d, (a0, periodic) in want.items():
-        exp = expansion_of(d)
+        exp = expand_omega(field_context(d))
         assert exp.a0 == a0
         assert list(exp.periodic) == periodic
         assert exp.l == len(periodic)
@@ -74,7 +75,7 @@ def test_criterion_02_unit_correctness():
     # d < 5000: the unit is the last xi of the period, and no earlier one;
     # last-quotient and palindrome invariants; convergent determinant
     for d in _squarefree_range(5000):
-        exp = expansion_of(d)
+        exp = expand_omega(field_context(d))
         l = exp.l
         assert exp.nu(l - 1) == 1, d
         assert all(exp.nu(n) > 1 for n in range(l - 1)), d
@@ -98,7 +99,7 @@ def test_criterion_03_xi_alpha():
 
 def test_criterion_04_alpha_product():
     for d in _squarefree_range(2000):
-        A, B = alpha_product(expansion_of(d))
+        A, B = alpha_product(expand_omega(field_context(d)))
         u, v = fundamental_unit(field_context(d)).half_coords()
         assert (A, B) == (Fraction(u, 2), Fraction(v, 2)), d
     print("PASS criterion 4: product of total quotients over one period "
@@ -113,19 +114,22 @@ def test_criterion_05_quotient_norm_bound():
         if ctx.discriminant <= 16:
             small.append(d)
             continue
+        e = ctx.sqrt_disc_scale  # sqrt(D) = e sqrt(d)
         for n in range(exp.l + 1):
-            rb = quotient_norm_residual(exp, n)
-            assert rb.alpha_below_ratio, (d, n)
-            if n >= 1:
-                assert rb.delta_within_bound, (d, n)
+            # alpha_{n+1} < sqrt(D)/nu_n  <=>  nu P + (nu - e Q) sqrt(d) < 0
+            nu = exp.nu(n)
+            P, Q = exp.state(n + 1)
+            assert sign_plus_sqrt(nu * P, nu - e * Q, d) < 0, (d, n)
+        assert residuals_hold(exp), d  # the delta bound at 1 <= n < l
+        assert fraction_residual(exp, exp.l)[1], d  # and at n = l
     assert sorted(small) == [2, 3, 5, 13]  # discriminants 8, 12, 5, 13
     for d in small:
-        exp = expansion_of(d)
+        exp = expand_omega(field_context(d))
         for n in range(2 * exp.l + 3):
-            rb = quotient_norm_residual(exp, n)
-            assert rb.alpha_below_ratio, (d, n)
+            alpha_below, within = fraction_residual(exp, n)
+            assert alpha_below, (d, n)
             if n >= 1:
-                assert rb.delta_within_bound, (d, n)
+                assert within, (d, n)
     print("PASS criterion 5: |delta_n| < 4/(q_n^2 sqrt D) certified at every "
           "index (d < 5000, D > 16); D in {5, 8, 12, 13} checked up to n = 2l + 2")
 

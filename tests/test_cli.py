@@ -128,9 +128,25 @@ def test_coverage_command(capsys):
     assert [r["status"] for r in rows if r["d"] == 2] == ["exception"]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(monkeypatch, capsys):
     assert run_cli("ideals", "12", "3", capsys=capsys)[0] == 2  # not square-free
     assert run_cli("ideals", "61", "12", capsys=capsys)[0] == 2  # mu not square-free
+    # one usage line and no output, before any scan or sweep runs
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_bound_rows", no_sweep)
+    bound = ("survey", "bound", "--mu", "2", "--limit", "20")
+    cases = [
+        (("coverage", "0"), "mu must be a nonzero square-free integer, got 0"),
+        (("coverage", "9", "--y-max", "0", "--t-max", "12"), "mu must be a nonzero square-free integer, got 9"),
+        (("survey", "f-mu", "--mu", "0"), "mu must be nonzero, got 0"),
+        ((*bound, "--probe-constant", "nan"), "probe_constant must be finite, got nan"),
+        ((*bound, "--probe-constant=inf"), "probe_constant must be finite, got inf"),
+        (("--jobs", "2", *bound, "--probe-constant=-inf"), "probe_constant must be finite, got -inf"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"usage error: {message}\n"), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

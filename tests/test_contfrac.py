@@ -12,12 +12,9 @@ from quadunit.arith import BudgetError, is_squarefree, squarefree_integers_upto
 from quadunit.contfrac import (
     CFExpansion,
     QuadIrr,
-    alpha_product,
     expand_omega,
-    expansion_of,
     fundamental_unit,
     is_reduced,
-    quotient_norm_residual,
     regulator,
     residuals_hold,
     total_quotient,
@@ -25,6 +22,7 @@ from quadunit.contfrac import (
 from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
 
 from oracles import (
+    alpha_product,
     fraction_delta_within,
     fraction_residual,
     linear_cf_walk,
@@ -43,7 +41,7 @@ SQUAREFREE = [d for d in range(2, 300) if squarefree_integers_upto(300)[d]]
 
 def test_expand_omega_worked_cases():
     for d, a0, per in [(2, 1, [2]), (3, 1, [1, 2]), (5, 1, [1]), (13, 2, [3])]:
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         assert (e.a0, list(e.periodic)) == (a0, per)
 
 
@@ -95,7 +93,7 @@ def test_walk_step_budget(monkeypatch):
 
 def test_last_quotient_and_palindrome():
     for d in SQUAREFREE:
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         expected_last = 2 * e.a0 - 1 if d % 4 == 1 else 2 * e.a0
         assert e.periodic[-1] == expected_last
         body = list(e.periodic[:-1])
@@ -104,7 +102,7 @@ def test_last_quotient_and_palindrome():
 
 def test_convergent_determinant():
     for d in SQUAREFREE[:60]:
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         for n in range(2 * e.l + 1):
             pn, qn = e.convergent(n)
             pm, qm = e.convergent(n - 1)
@@ -115,7 +113,7 @@ def test_convergent_determinant():
 def test_quotients_match_naive_expansion():
     # float/Fraction long division of w[d] reproduces the partial quotients
     for d in (2, 3, 7, 13, 19, 94, 123):
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         prec = Fraction(math.isqrt(d << 200), 1 << 100)
         w = (1 + prec) / 2 if d % 4 == 1 else prec
         x = w
@@ -139,14 +137,14 @@ def test_xi_stream_and_norms():
 
 
 def test_total_quotient_examples():
-    assert total_quotient(expansion_of(2), 0).as_pair() == (1, 1)
-    assert total_quotient(expansion_of(13), 0).as_pair() == (3, 2)
-    assert total_quotient(expansion_of(3), 1).as_pair() == (1, 1)
+    assert total_quotient(expand_omega(field_context(2)), 0).as_pair() == (1, 1)
+    assert total_quotient(expand_omega(field_context(13)), 0).as_pair() == (3, 2)
+    assert total_quotient(expand_omega(field_context(3)), 1).as_pair() == (1, 1)
 
 
 def test_total_quotients_reduced():
     for d in SQUAREFREE[:40]:
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         for n in range(2 * e.l):
             assert is_reduced(total_quotient(e, n))
 
@@ -177,20 +175,20 @@ def test_fundamental_unit_vs_sympy():
     for d in SQUAREFREE:
         eps = fundamental_unit(field_context(d))
         assert abs(eps.norm()) == 1
-        assert eps.norm() == (-1) ** expansion_of(d).l
+        assert eps.norm() == (-1) ** expand_omega(field_context(d)).l
         assert pell_unit_sympy(d) == eps.half_coords()
 
 
 def test_unit_is_first_unit_in_stream():
     for d in SQUAREFREE[:60]:
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         assert e.nu(e.l - 1) == 1
         assert all(e.nu(n) > 1 for n in range(e.l - 1))
 
 
 def test_alpha_product_equals_unit():
     for d in SQUAREFREE:
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         A, B = alpha_product(e)
         u, v = fundamental_unit(field_context(d)).half_coords()
         assert (A, B) == (Fraction(u, 2), Fraction(v, 2))
@@ -198,48 +196,40 @@ def test_alpha_product_equals_unit():
 
 def test_quotient_norm_residual():
     # every index n <= l + 1 of every square-free d < 3000, D in {5, 8, 12, 13} too:
-    # verdicts and float reports equal the Fraction computation, the delta
-    # bound holds at every n >= 1, the one-pass verdict over the period is
-    # the per-index one, and nu_n (n <= 2l + 1) is the convergent's norm
+    # the alpha test holds at every n and the delta bound at every n >= 1, the
+    # one-pass certificate agrees with the oracle over the period, and nu_n
+    # (n <= 2l + 1) is the convergent's norm
     flags = squarefree_integers_upto(3000)
     for d in range(2, 3000):
         if not flags[d]:
             continue
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         _assert_nu_from_state(e)
-        holds = []
-        for n in range(e.l + 2):
-            rb = quotient_norm_residual(e, n)
-            holds.append(rb.holds)
-            assert rb == fraction_residual(e, n), (d, n)
-            assert rb.alpha_below_ratio
-            if n >= 1:
-                assert rb.delta_within_bound, (d, n)
-            # float report is consistent with the exact verdict
-            if n >= 1 and abs(abs(rb.delta_approx) - rb.bound_approx) > 1e-9:
-                assert (abs(rb.delta_approx) < rb.bound_approx) == rb.delta_within_bound
-        assert residuals_hold(e) is all(holds[:e.l]) is True, d
+        verdicts = [fraction_residual(e, n) for n in range(e.l + 2)]
+        assert verdicts[0] == (True, None), d
+        assert all(v == (True, True) for v in verdicts[1:]), d
+        holds = [verdicts[0][0]] + [within for _, within in verdicts[1:e.l]]
+        assert residuals_hold(e) is all(holds) is True, d
 
 
 def test_quotient_norm_residual_large_radicand():
-    # the exact verdict must survive convergents too big for float reports
-    # (9999991: period 8096, q_l of about 14k bits) and equal the Fraction check
+    # the exact verdict must survive convergents too big for floats
+    # (9999991: period 8096, q_l of about 14k bits)
     for d in (1000003, 2000003, 9999991):
-        e = expansion_of(d)
+        e = expand_omega(field_context(d))
         for n in (0, 1, e.l - 1, e.l):
-            rb = quotient_norm_residual(e, n)
-            assert rb.alpha_below_ratio and rb.holds, (d, n)
-            assert rb == fraction_residual(e, n), (d, n)
-    assert rb.bound_approx == 0.0  # q_l^2 overflows a float: the report reads 0
+            assert fraction_residual(e, n) == (True, None if n == 0 else True), (d, n)
+        assert residuals_hold(e) is True, d
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=10**5, max_value=10**6))
 def test_residual_matches_fraction_oracle_large(d):
     assume(is_squarefree(d))
-    e = expansion_of(d)
+    e = expand_omega(field_context(d))
     for n in sorted(set(range(0, e.l + 2, max(1, e.l // 40))) | {e.l - 1, e.l, e.l + 1}):
-        assert quotient_norm_residual(e, n) == fraction_residual(e, n), (d, n)
+        assert fraction_residual(e, n) == (True, None if n == 0 else True), (d, n)
+    assert residuals_hold(e) is True, d
 
 
 def _assert_nu_from_state(e):
@@ -252,12 +242,11 @@ def _assert_nu_from_state(e):
 @given(st.integers(min_value=10**6, max_value=2 * 10**7))
 def test_nu_from_state_and_one_pass_verdict_large(d):
     assume(is_squarefree(d))
-    e = expansion_of(d)
+    e = expand_omega(field_context(d))
     _assert_nu_from_state(e)
-    per_index = [quotient_norm_residual(e, n).holds for n in range(e.l)]
-    oracle = [fraction_residual(e, n).holds for n in range(e.l)]
-    assert residuals_hold(e) is all(per_index) is True, d
-    assert oracle == per_index, d
+    # the oracle's verdict per index: the alpha test at n = 0, the delta bound after
+    holds = [fraction_residual(e, 0)[0]] + [fraction_residual(e, n)[1] for n in range(1, e.l)]
+    assert residuals_hold(e) is all(holds) is True, d
 
 
 def _corrupted(d, kind, k):
@@ -285,17 +274,15 @@ def _corrupted(d, kind, k):
 @pytest.mark.parametrize("d", [94, 139, 9199, 9949, 1000099])
 def test_corrupted_expansion_fails_certificate(d):
     # the certificate is decided on the convergents, so a wrong P, Q, a_k or
-    # nu anywhere in the period makes it fail, in one pass as per index
-    l = expansion_of(d).l
+    # nu anywhere in the period makes it fail
+    l = expand_omega(field_context(d)).l
     assert l >= 5, d
     cases = [("P_big", 0)]
     for k in (1, 2, l // 2, l - 1):
         cases += [("P", k), ("Q", k), ("a", k), ("nu", k)]
     for kind, k in cases:
-        e = _corrupted(d, kind, k)
-        per_index = [quotient_norm_residual(e, n).holds for n in range(e.l)]
-        assert residuals_hold(e) is all(per_index) is False, (d, kind, k)
-    assert residuals_hold(expansion_of(d)) is True
+        assert residuals_hold(_corrupted(d, kind, k)) is False, (d, kind, k)
+    assert residuals_hold(expand_omega(field_context(d))) is True
 
 
 def test_delta_within_small_grid():

@@ -85,11 +85,11 @@ def test_one_trace_scan():
     assert found == []
 
 
-class _LogValueUses(ast.NodeVisitor):
-    """Qualified scope of every reference to log_value in one module."""
+class _Uses(ast.NodeVisitor):
+    """Qualified scope of every reference to one name in one module."""
 
-    def __init__(self, name):
-        self.scope, self.found = [name], []
+    def __init__(self, name, target):
+        self.scope, self.target, self.found = [name], target, []
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -99,21 +99,31 @@ class _LogValueUses(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
     def visit_Attribute(self, node):
-        if node.attr == "log_value":
+        if node.attr == self.target:
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
     def visit_Name(self, node):
-        if node.id == "log_value":
+        if node.id == self.target:
             self.found.append(".".join(self.scope))
+
+
+def _uses(target):
+    found = []
+    for name, tree in _library_trees():
+        uses = _Uses(name, target)
+        uses.visit(tree)
+        found += uses.found
+    return found
 
 
 def test_order_is_exact():
     # the float log is a report: only QuadInt.approx reads it, so no float
     # decides an order (qi_compare decides every one)
-    found = []
-    for name, tree in _library_trees():
-        uses = _LogValueUses(name)
-        uses.visit(tree)
-        found += uses.found
-    assert found == ["quadfield.py.QuadInt.approx"]
+    assert _uses("log_value") == ["quadfield.py.QuadInt.approx"]
+
+
+def test_one_residual_certificate():
+    # the residual certificate is decided in one place: a per-index twin
+    # calling the delta test would decide it a second time
+    assert _uses("_delta_within") == ["contfrac.py.residuals_hold"]

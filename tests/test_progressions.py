@@ -466,6 +466,11 @@ def test_coverage_small():
     assert by_d[17].status == "covered"
     # vacuous coverage
     assert coverage_report(-1, 0, 5, 10).rows == ()
+    # 0 and non-square-free mu fail with the IndexPair message, also when no
+    # index pair would be built (y_max = 0) or no trace scanned (t_max = 1)
+    for mu, t_max, y_max in ((0, 200, 300), (9, 12, 0), (9, 1, 300), (-12, 12, 0)):
+        with pytest.raises(ValueError, match=rf"^mu must be a nonzero square-free integer, got {mu}$"):
+            coverage_report(mu, t_max, y_max, 10)
 
 
 def test_exceptions_for_mu2_d2():

@@ -156,6 +156,8 @@ def test_f_mu_examples():
     assert set(r.kernels) == {2, 17, 7, 41, 14, 73}
     assert r.ratio == 0.6 >= 0.5
     assert f_mu(30, 3).count == 0
+    with pytest.raises(ValueError, match=r"^mu must be nonzero, got 0$"):
+        f_mu(0, 10)
 
 
 def test_split_identity_examples():
@@ -237,6 +239,9 @@ def test_bound_sweep():
         theorem_bound_sweep(4, 100)
     with pytest.raises(ValueError):
         theorem_bound_sweep(2, 3)  # no admissible traces
+    for probe in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^probe_constant must be finite, got "):
+            theorem_bound_sweep(2, 20, probe_constant=probe)
 
 
 def test_bound_sweep_deterministic():

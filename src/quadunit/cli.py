@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("e-mu", "f-mu", "pell", "bound"))
     p.add_argument("--mu", type=int, default=2)
     p.add_argument("--limit", type=int, default=100)
-    p.add_argument("--probe-constant", type=float, default=0.0)
+    p.add_argument("--probe-constant", type=float, help="survey bound only (default 0.0)")
 
     sub.add_parser("verify", help="run the acceptance suite (pytest)")
     return parser
@@ -213,7 +213,7 @@ def _cmd_cf(ns: argparse.Namespace) -> int:
         "d": ctx.d,
         "a0": exp.a0,
         "period": exp.l,
-        "quotients": list(exp.periodic),
+        "quotients": [exp.partial_quotient(n) for n in range(1, exp.l + 1)],
         "epsilon": {"a": eps.a, "b": eps.b},
         "norm_epsilon": eps.norm(),
         "epsilon_text": format_quadint(eps),
@@ -294,6 +294,8 @@ def _bound_chunk(args) -> list:
 
 
 def _cmd_survey(ns: argparse.Namespace) -> int:
+    if ns.kind != "bound" and ns.probe_constant is not None:
+        raise ValueError(f"--probe-constant applies only to survey bound, not {ns.kind}")
     if ns.kind == "e-mu":
         rep = E_mu(ns.mu, ns.limit)
         rows = [(e.trace, e.signed_norm, e.d, e.sqrt_coeff, f"{e.value:.9f}") for e in rep.entries]
@@ -311,7 +313,8 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
     # fixed: chunks ascend, rows inside each chunk ascend, so parallel ==
     # serial).  The cost of a trace grows with T, so each worker gets several
     # small contiguous chunks from pool.map rather than one large one.
-    _check_probe_constant(ns.probe_constant)
+    probe = 0.0 if ns.probe_constant is None else ns.probe_constant
+    _check_probe_constant(probe)
     tasks = [(ns.mu, lo, hi, ns.factor_budget) for lo, hi in _shard(2, ns.limit, ns.jobs * SHARDS_PER_JOB)]
     if ns.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
@@ -321,7 +324,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
     else:
         parts = list(map(_bound_chunk, tasks))
     rows = [r for part in parts for r in part]
-    report = assemble_bound_report(ns.mu, ns.limit, ns.probe_constant, rows)
+    report = assemble_bound_report(ns.mu, ns.limit, probe, rows)
     data_rows = [(r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows]
     if ns.format == "csv":
         return _emit(ns, header=("trace", "d", "D", "log_eps", "residual"), rows=data_rows)

@@ -11,17 +11,18 @@ w[d] = (1+sqrt(d))/2.  The tail alpha_1, alpha_2, ... is purely periodic
 with period l, and the period is palindromic (Perron; Jacobson & Williams,
 *Solving the Pell Equation*, 2009):
 
-    P_i = P_{l+1-i},   Q_i = Q_{l-i},   a_i = a_{l-i} (1 <= i < l),
-    a_l = 2 a_0 - [d = 1 mod 4].
+    P_i = P_{l+1-i},   Q_i = Q_{l-i}   (1 <= i <= l),
+    a_i = a_{l-i} (1 <= i < l),   a_l = 2 a_0 - [d = 1 mod 4].
 
 So one walk, :func:`_half_cycle`, runs the recurrence only to the
 midpoint.  It stops at the first j >= 1 with Q_j = Q_{j-1}, where
 l = 2j - 1, or with P_j = P_{j-1}, where l = 2j - 2.  (P_1 = P_0 only for
-d = 5, whose Q_1 = Q_0 stops the walk first.)  :func:`_principal_cycle`
-mirrors the rest of the period.  No floating point is involved, which
-makes period detection exact, and the walk has a step budget, so a
-radicand with an enormous period raises :class:`BudgetError` instead of
-running without bound.
+d = 5, whose Q_1 = Q_0 stops the walk first.)  The half walk is the only
+stored form of a period, read through the palindrome, and a memo holds
+the last walk, so one query walks each field once.  No floating point is
+involved, which makes period detection exact, and the walk has a step
+budget, so a radicand with an enormous period raises :class:`BudgetError`
+instead of running without bound.
 
 The fundamental unit needs no mirror.  With k = j - 1, the
 convergents p_n/q_n of a_0..a_k give the last convergent of the period
@@ -49,7 +50,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import chain, repeat
 
 from .arith import BudgetError, isqrt
 from .quadfield import FieldContext, QuadInt, sign_plus_sqrt
@@ -95,74 +96,65 @@ def is_reduced(q: QuadIrr) -> bool:
 MAX_CF_STEPS = 10**6
 
 
-def _half_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int], bool]:
-    """(a_0..a_{j-1}, P_0..P_j, Q_0..Q_j, odd) up to the midpoint state j.
+@lru_cache(maxsize=1)  # the last walk only: at MAX_CF_STEPS one walk holds about 100 MB
+def _half_cycle(d: int, max_steps: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
+    """(a_0..a_{j-1}, P_0..P_j, Q_0..Q_j, odd) of w[d] up to the midpoint state j.
 
     Walks the (P, Q) recurrence from the initial state to the palindromic
     midpoint of the period (see the module docstring); odd tells whether
-    l = 2j - 1 (else l = 2j - 2).  Raises BudgetError after MAX_CF_STEPS
-    steps.
+    l = 2j - 1 (else l = 2j - 2).  Raises BudgetError after max_steps
+    steps.  Callers pass the radicand of a FieldContext and MAX_CF_STEPS,
+    read at call time, so the memo never answers a lowered budget with a
+    walk made under a higher one.
     """
-    d = ctx.d
-    sf = ctx.sqrt_floor
-    P, Q = (1, 2) if ctx.is_half else (0, 1)
+    sf = isqrt(d)
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
     quotients, Ps, Qs = [], [P], [Q]  # a_i, P_i, Q_i for i = 0, 1, ...
-    for _ in range(MAX_CF_STEPS):
+    for _ in range(max_steps):
         a = (P + sf) // Q
         quotients.append(a)
         P_next = a * Q - P
         Q_next = (d - P_next * P_next) // Q
         Ps.append(P_next)
         Qs.append(Q_next)
-        if Q_next == Q:
-            return quotients, Ps, Qs, True
-        if P_next == P:
-            return quotients, Ps, Qs, False
+        if Q_next == Q or P_next == P:
+            return tuple(quotients), tuple(Ps), tuple(Qs), Q_next == Q
         P, Q = P_next, Q_next
-    raise BudgetError(f"period of w[{d}] not closed within {MAX_CF_STEPS} steps")
-
-
-def _principal_cycle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]]:
-    """(a_0..a_l, P_1..P_l, Q_1..Q_l) over one period of w[d].
-
-    The half-period walk of :func:`_half_cycle`, with the rest of the
-    period mirrored from it.
-    """
-    quotients, Ps, Qs, odd = _half_cycle(ctx)
-    j = len(quotients)  # the midpoint state
-    k = j - 1 if odd else j - 2  # states after it: k = l - j
-    quotients += quotients[k:0:-1]  # a_{j..l-1} = a_{k..1}
-    quotients.append(2 * quotients[0] - (1 if ctx.is_half else 0))
-    return quotients, Ps[1:] + Ps[k:0:-1], Qs[1:] + Qs[:k][::-1]
+    raise BudgetError(f"period of w[{d}] not closed within {max_steps} steps")
 
 
 class CFExpansion:
-    """Period, partial quotients, convergents and xi/nu streams for w[d]."""
+    """Period, partial quotients, convergents and xi/nu streams for w[d],
+    read from the half-period walk through the palindrome."""
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        quotients, Ps, Qs = _principal_cycle(ctx)
-        self.a0 = quotients[0]
-        self.periodic = tuple(quotients[1:])
-        self.l = len(self.periodic)
-        # states[i] is the (P, Q) of alpha_{i+1}.  The tuple is built from a
-        # list: CPython grows a tuple built from an iterator by reallocation,
-        # which strands small tuples in its per-size free lists (about 1 MB
-        # more peak RSS for `survey pell --limit 20500` on CPython 3.11).
-        self.states = tuple(list(zip(Ps, Qs)))
+        self._a, self._P, self._Q, odd = _half_cycle(ctx.d, MAX_CF_STEPS)
+        self.a0 = self._a[0]
+        self._j = len(self._a)  # the midpoint state
+        self._e = ctx.sqrt_disc_scale
+        self.l = 2 * self._j - (1 if odd else 2)
         self._p = [self.a0]
         self._q = [1]
 
     def partial_quotient(self, n: int) -> int:
+        """a_n, n >= 0: a_i = a_{l-i} for 1 <= i < l, a_l = 2 a_0 - [d = 1 mod 4]."""
+        if n < 0:
+            raise ValueError("partial quotients start at index 0")
         if n == 0:
             return self.a0
-        return self.periodic[(n - 1) % self.l]
+        i = (n - 1) % self.l + 1  # i = n (mod l), 1 <= i <= l
+        if i == self.l:
+            return 2 * self.a0 - self.ctx.omega_trace
+        return self._a[i if i < self._j else self.l - i]
 
     def state(self, n: int) -> tuple[int, int]:
-        """(P, Q) of the total quotient alpha_n, n >= 1."""
+        """(P, Q) of the total quotient alpha_n, n >= 1: P_i = P_{l+1-i}, Q_i = Q_{l-i} past j."""
         if n < 1:
             raise ValueError("total quotients start at index 1")
-        return self.states[(n - 1) % self.l]
+        l = self.l
+        i = (n - 1) % l + 1  # i = n (mod l), 1 <= i <= l
+        return (self._P[i], self._Q[i]) if i <= self._j else (self._P[l + 1 - i], self._Q[l - i])
 
     def _extend(self, n: int) -> None:
         while len(self._p) <= n:
@@ -173,7 +165,10 @@ class CFExpansion:
             self._q.append(a * self._q[k - 1] + qm2)
 
     def convergent(self, n: int) -> tuple[int, int]:
-        if n < 0:
+        """(p_n, q_n), n >= -1, with p_{-1}/q_{-1} = 1/0."""
+        if n < -1:
+            raise ValueError("convergents start at index -1")
+        if n == -1:
             return (1, 0)
         self._extend(n)
         return self._p[n], self._q[n]
@@ -206,7 +201,7 @@ class CFExpansion:
         For w[d] = sqrt(d), Q_0 = 1 and e = 2; for w[d] = (1+sqrt(d))/2,
         Q_0 = 2 and e = 1.  Either way e Q_0 = 2, so nu_n = e Q_{n+1}/2.
         """
-        return self.ctx.sqrt_disc_scale * self.state(n + 1)[1] // 2
+        return self._e * self.state(n + 1)[1] // 2
 
 
 @lru_cache(maxsize=256)
@@ -233,7 +228,7 @@ def fundamental_unit(ctx: FieldContext) -> QuadInt:
     p_k q_{k-1} + p_{k-1} q_{k-2} and q_{k-1} (q_k + q_{k-2}) for even
     l = 2k.  No CFExpansion is built.
     """
-    quotients, _, _, odd = _half_cycle(ctx)
+    quotients, _, _, odd = _half_cycle(ctx.d, MAX_CF_STEPS)
     p, q, p1, q1 = 1, 0, 0, 1  # (p_{n-1}, q_{n-1}), (p_{n-2}, q_{n-2}) at n = 0
     for a in quotients:
         q2 = q1
@@ -278,15 +273,14 @@ def residuals_hold(exp: CFExpansion) -> bool:
     ctx = exp.ctx
     d = ctx.d
     e = ctx.sqrt_disc_scale
-    states, periodic = exp.states, exp.periodic
-    P, Q = states[0]
+    P, Q = exp.state(1)
     nu = exp.nu(0)
     if sign_plus_sqrt(nu * P, nu - Q * e, d) >= 0:
         return False
     qm1, qn = 0, 1  # q_{n-1}, q_n at n = 0
     for n in range(1, exp.l):
-        qm1, qn = qn, periodic[n - 1] * qn + qm1
-        P, Q = states[n]
+        qm1, qn = qn, exp.partial_quotient(n) * qn + qm1
+        P, Q = exp.state(n + 1)
         if not _delta_within(d, e, exp.nu(n), P, Q, qn, qm1, qn * qn):
             return False
     return True
@@ -320,9 +314,9 @@ def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int, q2
 def regulator(ctx: FieldContext) -> float:
     """log(eps_d) as the sum of log(alpha_i) over one period.
 
-    The (P, Q) states come from the half-period walk, so the period's
-    states are held in memory (at most MAX_CF_STEPS of them are walked).
-    The float result is fixed bit for bit: the terms
+    The (P, Q) states are the half-period walk's, iterated as slices in
+    period order; no full-period states are held (at most MAX_CF_STEPS
+    steps are walked).  The float result is fixed bit for bit: the terms
     log((P_i + sqrt d) / Q_i) are added for i = 1..l in period order, left
     to right, starting from 0.0.  ``sum()`` is not used because from
     Python 3.12 it compensates float sums, and ``math.fsum`` rounds once
@@ -330,6 +324,9 @@ def regulator(ctx: FieldContext) -> float:
     depend on them.  Per-term float error is ~1e-16, giving ~1e-12
     relative accuracy for periods in the 1e4 range.
     """
-    _, Ps, Qs = _principal_cycle(ctx)
+    quotients, Ps, Qs, odd = _half_cycle(ctx.d, MAX_CF_STEPS)
+    k = len(quotients) - (1 if odd else 2)  # states after the midpoint: k = l - j
+    Ps = chain(Ps[1:], Ps[k:0:-1])  # P_1..P_j, then P_{j+1..l} = P_{k..1}
+    Qs = chain(Qs[1:], reversed(Qs[:k]))  # Q_1..Q_j, then Q_{j+1..l} = Q_{k-1..0}
     alphas = map(operator.truediv, map(operator.add, Ps, repeat(math.sqrt(ctx.d))), Qs)
     return reduce(operator.add, map(math.log, alphas), 0.0)

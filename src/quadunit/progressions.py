@@ -90,8 +90,10 @@ def index_pairs(mu: int, j: int, y_max: int) -> list[IndexPair]:
 
     For even y the congruence determining the parameter class is soluble
     only under the sharper condition x^2 = mu (mod 2y); even-y pairs
-    failing it represent no quadratic integer and are omitted.
+    failing it represent no quadratic integer and are omitted.  mu is
+    checked as for :class:`IndexPair`, before any y is scanned.
     """
+    _check_mu(mu)
     out = []
     for y in range(1, y_max + 1):
         if j == 1 and y % 2 == 0:

@@ -26,7 +26,7 @@ from .arith import (
     jacobi,
     squarefree_integers_upto,
 )
-from .contfrac import _half_cycle, expand_omega, fundamental_unit, regulator
+from .contfrac import CFExpansion, expand_omega, fundamental_unit, regulator
 from .ideals import principal_basis
 from .progressions import build_progression, pair_of, trace_kernels
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
@@ -447,7 +447,7 @@ def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
     """Square-free d <= n_bound whose fundamental unit has norm -1.
 
     route="cf": the period parity criterion (odd period of w[d]), read
-    from the half-period walk without building an expansion.
+    from a CFExpansion built outside the expand_omega cache.
     route="progression": reads the norm off the unit and re-derives d as a
     member of the mu = -1 progression seeded by the unit's own index pair,
     exercising the whole progression pipeline per radicand.
@@ -463,7 +463,7 @@ def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
             continue
         ctx = field_context(d)
         if route == "cf":
-            if _half_cycle(ctx)[3]:  # the period l is odd
+            if CFExpansion(ctx).l % 2:
                 out.append(d)
             continue
         eps = fundamental_unit(ctx)

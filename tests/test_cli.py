@@ -145,6 +145,14 @@ def test_usage_errors(monkeypatch, capsys):
         ((*bound, "--probe-constant=inf"), "probe_constant must be finite, got inf"),
         (("--jobs", "2", *bound, "--probe-constant=-inf"), "probe_constant must be finite, got -inf"),
     ]
+    # only survey bound reads --probe-constant
+    for kind in ("e-mu", "f-mu", "pell"):
+        for value in ("0.5", "nan"):
+            argv = ("survey", kind, "--mu", "2", "--limit", "5", "--probe-constant", value)
+            cases.append((argv, f"--probe-constant applies only to survey bound, not {kind}"))
+    # pairs checks mu as coverage does, also when y_max leaves nothing to scan
+    for mu, y_max in (("4", "0"), ("0", "0"), ("4", "3"), ("-12", "5")):
+        cases.append((("pairs", mu, "0", y_max), f"mu must be a nonzero square-free integer, got {mu}"))
     for argv, message in cases:
         assert run_cli(*argv, capsys=capsys) == (2, "", f"usage error: {message}\n"), argv
     with pytest.raises(SystemExit) as exc:

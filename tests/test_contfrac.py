@@ -19,7 +19,9 @@ from quadunit.contfrac import (
     residuals_hold,
     total_quotient,
 )
+from quadunit.cli import main
 from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
+from quadunit.survey import minimal_elements, negative_pell, split_identity_check
 
 from oracles import (
     alpha_product,
@@ -39,17 +41,26 @@ rng = random.Random(0xBADC0DE)
 SQUAREFREE = [d for d in range(2, 300) if squarefree_integers_upto(300)[d]]
 
 
+def _period(e, first=1):
+    """(a_n, state(n)) for n = first .. first + l - 1, read through the accessors."""
+    span = range(first, first + e.l)
+    return tuple(map(e.partial_quotient, span)), tuple(map(e.state, span))
+
+
 def test_expand_omega_worked_cases():
     for d, a0, per in [(2, 1, [2]), (3, 1, [1, 2]), (5, 1, [1]), (13, 2, [3])]:
         e = expand_omega(field_context(d))
-        assert (e.a0, list(e.periodic)) == (a0, per)
+        assert (e.a0, list(_period(e)[0])) == (a0, per)
 
 
 def _assert_matches_linear_walk(d):
     ctx = FieldContext(d)
     e = CFExpansion(ctx)
-    assert (e.a0, e.periodic, e.states) == linear_cf_walk(d), d
-    assert e.l == len(e.periodic) == len(e.states)
+    periodic, states = _period(e)
+    assert (e.a0, periodic, states) == linear_cf_walk(d), d
+    assert e.l == len(periodic) == len(states)
+    # the palindrome map is periodic past the first period
+    assert _period(e, e.l + 1) == (periodic, states), d
     # bitwise: the half-period walk must keep the full walk's float sum
     assert regulator(ctx) == linear_regulator(d), d
     # the unit from the midpoint convergents is the full period's xi_{l-1}
@@ -91,13 +102,50 @@ def test_walk_step_budget(monkeypatch):
     assert fundamental_unit(ctx).norm() == 1
 
 
+def _walks(run):
+    """Calls of the undecorated half-period walk made by run(), from cold caches.
+
+    Every miss of the walk's memo is one call of the function it wraps.
+    """
+    expand_omega.cache_clear()
+    contfrac._half_cycle.cache_clear()
+    run()
+    return contfrac._half_cycle.cache_info().misses
+
+
+def test_one_walk_per_radicand_per_call(capsys):
+    # cf and unit, minimal elements on the convergent route and the split
+    # identity each ask for the period more than once, and walk it once
+    assert _walks(lambda: main(["cf", "1000099"])) == 1
+    assert _walks(lambda: main(["unit", "1000099"])) == 1
+    capsys.readouterr()
+    assert _walks(lambda: minimal_elements(field_context(94), 2)) == 1
+    assert _walks(lambda: split_identity_check(94, 3)) == 1
+    # one walk for each of the 12,465 square-free radicands, plus the
+    # candidates build_progression tests for other radicands; without the
+    # memo this made 15,013 walks
+    assert _walks(lambda: negative_pell(20500)) < 13_000
+
+
 def test_last_quotient_and_palindrome():
     for d in SQUAREFREE:
         e = expand_omega(field_context(d))
         expected_last = 2 * e.a0 - 1 if d % 4 == 1 else 2 * e.a0
-        assert e.periodic[-1] == expected_last
-        body = list(e.periodic[:-1])
+        periodic = _period(e)[0]
+        assert periodic[-1] == expected_last
+        body = list(periodic[:-1])
         assert body == body[::-1]
+
+
+def test_negative_indices_raise():
+    e = expand_omega(field_context(13))
+    assert e.partial_quotient(0) == 2 and e.convergent(-1) == (1, 0)
+    with pytest.raises(ValueError, match="partial quotients start at index 0"):
+        e.partial_quotient(-1)
+    with pytest.raises(ValueError, match="convergents start at index -1"):
+        e.convergent(-2)
+    with pytest.raises(ValueError, match="total quotients start at index 1"):
+        e.state(0)
 
 
 def test_convergent_determinant():
@@ -252,19 +300,15 @@ def test_nu_from_state_and_one_pass_verdict_large(d):
 def _corrupted(d, kind, k):
     """A fresh expansion of w[d] with one datum at index k made wrong."""
     e = CFExpansion(field_context(d))
-    if kind in ("P", "Q"):
-        states = list(e.states)
-        P, Q = states[k]
-        states[k] = (P + 1, Q) if kind == "P" else (P, Q + 2)
-        e.states = tuple(states)
-    elif kind == "a":
-        periodic = list(e.periodic)
-        periodic[k - 1] += 1  # a_k, the last quotient of q_k
-        e.periodic = tuple(periodic)
-    elif kind == "P_big":  # P > sqrt(d): at k = 0 only the alpha test of n = 0 sees it
-        states = list(e.states)
-        states[k] = (e.ctx.sqrt_floor + 1, states[k][1])
-        e.states = tuple(states)
+    if kind in ("P", "Q", "P_big"):  # the state of alpha_{k+1}, in every period
+        true_state = e.state
+        bump = {"P": lambda P, Q: (P + 1, Q), "Q": lambda P, Q: (P, Q + 2),
+                # P > sqrt(d): at k = 0 only the alpha test of n = 0 sees it
+                "P_big": lambda P, Q: (e.ctx.sqrt_floor + 1, Q)}[kind]
+        e.state = lambda n: bump(*true_state(n)) if (n - 1) % e.l == k else true_state(n)
+    elif kind == "a":  # a_k, the last quotient of q_k, in every period
+        true_a = e.partial_quotient
+        e.partial_quotient = lambda n: true_a(n) + (1 if n >= 1 and (n - 1) % e.l == k - 1 else 0)
     else:  # nu off by one at index k only
         true_nu = e.nu
         e.nu = lambda n: true_nu(n) + (1 if n == k else 0)

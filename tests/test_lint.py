@@ -47,6 +47,13 @@ def test_one_pq_walk_in_library():
     assert found[0].startswith("contfrac.py:")
 
 
+def test_half_walk_only_in_contfrac():
+    # the half-period walk is the one stored form of a period: other modules
+    # read it through CFExpansion, fundamental_unit and regulator
+    found = _uses("_half_cycle")
+    assert found and all(scope.startswith("contfrac.py") for scope in found), found
+
+
 def _budget_channel_breach(name, node) -> bool:
     """node reads the environment outside cli.py, or passes a trial_bound."""
     if name != "cli.py":
@@ -105,6 +112,10 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Name(self, node):
         if node.id == self.target:
+            self.found.append(".".join(self.scope))
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name == self.target for alias in node.names):
             self.found.append(".".join(self.scope))
 
 

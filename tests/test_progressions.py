@@ -59,6 +59,10 @@ def test_index_pairs_examples():
     assert [(p.y, p.x) for p in index_pairs(2, 0, 7)] == [(1, 0), (7, 3), (7, 4)]
     assert [(p.y, p.x) for p in index_pairs(-1, 0, 5)] == [(1, 0), (5, 2), (5, 3)]
     assert [(p.y, p.x) for p in index_pairs(5, 1, 3)] == [(1, 0)]
+    # mu is checked before the scan, so an empty scan range does not hide it
+    for mu, j, y_max in ((4, 0, 0), (0, 0, 0), (0, 1, 5), (-12, 0, 3)):
+        with pytest.raises(ValueError, match=f"^mu must be a nonzero square-free integer, got {mu}$"):
+            index_pairs(mu, j, y_max)
 
 
 def test_solve_n0_examples():

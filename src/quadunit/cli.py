@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -156,53 +155,62 @@ def _resolve_budget(flag: int | None) -> int:
 
 
 def _emit(ns: argparse.Namespace, doc=None, header=(), rows=None) -> int:
-    """Serialize one document or a (header, tuples) table, deterministically.
+    """Serialize one document or a (header, rows) table, deterministically.
 
     CSV tables start with the header row; JSON tables are one object per
-    row, keyed by the header.
+    row, keyed by the header.  ``rows`` may be any iterable, a generator
+    included: the header and then each row go straight to stdout, or to
+    the ``--output`` temp file, as they are made, so no whole output text
+    is ever held.  An error raised after the first row can therefore leave
+    a partial table on stdout, but never a partial ``--output`` file: the
+    temp file is removed and the target keeps its old bytes (a device or
+    pipe at ``--output`` is written in place, see :func:`_write_atomic`).
     """
-    out = io.StringIO()
-    if rows is None:
-        out.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    elif ns.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        for row in rows:
-            out.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
-    text = out.getvalue()
+    def write(fh) -> None:
+        if rows is None:
+            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        elif ns.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            for row in rows:
+                fh.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
+
     if ns.output:
         try:
-            _write_atomic(ns.output, text)
+            _write_atomic(ns.output, write)
         except OSError as exc:
             print(f"usage error: cannot write {ns.output}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return 0
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write through a temp file beside path and a rename, so a failed
-    write leaves an existing file at path untouched.  A symlink at path
-    is written through, not replaced.  A device, pipe or directory at path
-    is opened in place: a rename would replace a device such as /dev/null."""
+def _write_atomic(path: str, write) -> None:
+    """Call ``write(fh)`` on a temp file beside path, then rename it over
+    path, so a failed write leaves an existing file at path untouched and
+    no temp file behind.  A symlink at path is written through, not
+    replaced.  A device, pipe or directory at path is opened in place: a
+    rename would replace a device such as /dev/null."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
-            fh.write(text)
+            write(fh)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "x") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, target)
-    except OSError as exc:
+    except BaseException as exc:  # any failure, also one raised by a row
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        raise OSError(exc.errno, exc.strerror, path) from exc  # name the target, not the temp file
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc  # name the target, not the temp file
+        raise
 
 
 def _cmd_cf(ns: argparse.Namespace) -> int:
@@ -298,7 +306,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
         raise ValueError(f"--probe-constant applies only to survey bound, not {ns.kind}")
     if ns.kind == "e-mu":
         rep = E_mu(ns.mu, ns.limit)
-        rows = [(e.trace, e.signed_norm, e.d, e.sqrt_coeff, f"{e.value:.9f}") for e in rep.entries]
+        rows = ((e.trace, e.signed_norm, e.d, e.sqrt_coeff, f"{e.value:.9f}") for e in rep.entries)
         return _emit(ns, header=("trace", "signed_norm", "d", "sqrt_coeff", "value"), rows=rows)
     if ns.kind == "f-mu":
         rep = f_mu(ns.mu, ns.limit)
@@ -325,7 +333,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
         parts = list(map(_bound_chunk, tasks))
     rows = [r for part in parts for r in part]
     report = assemble_bound_report(ns.mu, ns.limit, probe, rows)
-    data_rows = [(r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows]
+    data_rows = ((r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows)
     if ns.format == "csv":
         return _emit(ns, header=("trace", "d", "D", "log_eps", "residual"), rows=data_rows)
     return _emit(ns, doc={

@@ -205,8 +205,18 @@ class CFExpansion:
 
 
 @lru_cache(maxsize=256)
+def _expand_omega(ctx: FieldContext, max_steps: int) -> CFExpansion:
+    return CFExpansion(ctx)  # walked under max_steps, which is MAX_CF_STEPS now
+
+
 def expand_omega(ctx: FieldContext) -> CFExpansion:
-    return CFExpansion(ctx)
+    """The cached expansion of ctx, keyed on MAX_CF_STEPS as well: an
+    expansion walked under one step budget never answers for a lower one."""
+    return _expand_omega(ctx, MAX_CF_STEPS)
+
+
+expand_omega.cache_info = _expand_omega.cache_info
+expand_omega.cache_clear = _expand_omega.cache_clear
 
 
 def total_quotient(exp: CFExpansion, n: int) -> QuadIrr:

@@ -133,7 +133,7 @@ def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
 # E_mu: counting minimal elements across all fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # E_mu(mu, x) holds up to 2x of these at once
 class EMuEntry:
     value: float
     d: int
@@ -180,6 +180,7 @@ def E_mu(mu: int, x_bound) -> EMuReport:
     square-free kernel from :func:`trace_kernels`, and tests minimality
     against a table of small fundamental units (fields absent from the
     table have eps_d beyond x_bound, making every candidate minimal).
+    See :func:`_e_mu_trace` for how each candidate is decided.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
@@ -195,33 +196,51 @@ def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
 
 
 def _e_mu_trace(mu: int, x: Fraction) -> list[EMuEntry]:
+    """The candidates xi = (m + f sqrt d)/2 of norm sigma = +-mu with
+    1 < xi < x and xi <= eps_d, in scan order.
+
+    Each of the three conditions is decided in integers where integers
+    can decide it, and by the exact sign of a + b sqrt(d) only inside a
+    window of about mu traces.  The conjugate of xi is sigma/xi, so
+    xi = m - sigma/xi, and once xi > 1 it lies in (m - mu, m + mu).
+    Likewise eps_d = (m_e + f_e sqrt d)/2 > 1 has norm +-1, so it lies in
+    (m_e - 1, m_e + 1).
+
+    - xi > 1: f sqrt(d) > 1 (d >= 2, f >= 1), so m >= 1 gives
+      m + f sqrt(d) > 2.  Only m <= 0 takes the exact sign.
+    - xi < x: xi < m + mu, so m + mu <= x settles it.  Only traces
+      m > floor(x) - mu take the exact sign.
+    - xi <= eps_d: m + mu <= m_e - 1 gives xi < m_e - 1 < eps_d (keep),
+      and m - mu >= m_e + 1 gives xi > m_e + 1 > eps_d (drop).  Only the
+      traces between, m_e - mu <= m <= m_e + mu, take the exact sign.
+
+    Raw signs on (m, f, d), not qi_compare: this runs for every candidate
+    of the trace scan, and a QuadInt per candidate would slow the scan.
+    """
     if x <= 1:
         return []
     m_max = int(x) + mu + 2
+    m_below = int(x) - mu  # m <= m_below: xi < m + mu <= x
     units = _unit_map(int(x) + 2)
     out = []
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
     for sigma, m_min in ((mu, 0), (-mu, -mu)):
         for m, d, f in trace_kernels(sigma, m_min, m_max):
-            _consider(out, units, x, m, sigma, d, f)
+            if m < 1 and sign_plus_sqrt(m - 2, f, d) <= 0:
+                continue  # not above 1
+            if m > m_below and not _below_bound(m, f, d, x):
+                continue
+            unit = units.get(d)
+            if unit is not None:
+                me, fe = unit
+                if m - mu > me:
+                    continue  # above eps_d
+                # xi <= eps_d  <=>  (m - me) + (f - fe) sqrt(d) <= 0
+                if m + mu >= me and sign_plus_sqrt(m - me, f - fe, d) > 0:
+                    continue
+            out.append(EMuEntry((m + f * math.sqrt(d)) / 2.0, d, m, sigma, f))
     return out
-
-
-def _consider(out, units, x: Fraction, m: int, sigma: int, d: int, f: int) -> None:
-    # Raw signs on (m, f, d), not qi_compare: this runs for every candidate
-    # of the trace scan, and a QuadInt per candidate would slow the scan.
-    if sign_plus_sqrt(m - 2, f, d) <= 0:
-        return  # not above 1
-    if not _below_bound(m, f, d, x):
-        return
-    unit = units.get(d)
-    if unit is not None:
-        me, fe = unit
-        # xi <= eps_d  <=>  (m - me) + (f - fe) sqrt(d) <= 0
-        if sign_plus_sqrt(m - me, f - fe, d) > 0:
-            return
-    out.append(EMuEntry((m + f * math.sqrt(d)) / 2.0, d, m, sigma, f))
 
 
 # ---------------------------------------------------------------------------

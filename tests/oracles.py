@@ -281,6 +281,37 @@ def e_mu_fields(mu: int, x_bound) -> list[tuple[int, int, int]]:
     return out
 
 
+def e_mu_consider(mu: int, x_bound) -> list[tuple[int, int, int, int, int]]:
+    """(trace, signed norm, d, sqrt coeff, passed) of every candidate of
+    ``E_mu``'s trace scan, in scan order, decided by three exact signs.
+
+    Each candidate xi = (m + f sqrt d)/2 takes the signs in turn, with no
+    integer pre-test: 1 < xi, then xi < x, then xi <= eps_d when eps_d is in
+    the unit table.  ``passed`` counts the tests it passed before the first
+    it failed; passed == 3 means ``E_mu`` keeps it.
+    """
+    from quadunit.progressions import trace_kernels
+    from quadunit.quadfield import sign_plus_sqrt
+    from quadunit.survey import _unit_map
+
+    x = Fraction(x_bound)
+    if x <= 1:
+        return []
+    units = _unit_map(int(x) + 2)
+    out = []
+    for sigma, m_min in ((mu, 0), (-mu, -mu)):
+        for m, d, f in trace_kernels(sigma, m_min, int(x) + mu + 2):
+            unit = units.get(d)
+            signs = (
+                sign_plus_sqrt(m - 2, f, d) > 0,
+                sign_plus_sqrt(m * x.denominator - 2 * x.numerator, f * x.denominator, d) < 0,
+                unit is None or sign_plus_sqrt(m - unit[0], f - unit[1], d) <= 0,
+            )
+            passed = signs.index(False) if False in signs else 3
+            out.append((m, sigma, d, f, passed))
+    return out
+
+
 def float_value(a: int, b: int, d: int, half: bool) -> float:
     """Value of a + b*w[d] using 200-bit fixed point, returned as float."""
     prec = 200

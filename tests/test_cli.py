@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -184,10 +185,11 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 
 class _FailingWrite:
-    """A file whose every write fails as on a full disk."""
+    """A file whose writes fail as on a full disk, from the fail_at-th on;
+    the writes before it reach the file."""
 
-    def __init__(self, fh):
-        self.fh = fh
+    def __init__(self, fh, fail_at=1):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
 
     def __enter__(self):
         return self
@@ -197,7 +199,10 @@ class _FailingWrite:
         return False
 
     def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes += 1
+        if self.writes >= self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
 
 
 def test_output_is_atomic(tmp_path, monkeypatch, capsys):
@@ -237,6 +242,65 @@ def test_output_is_atomic(tmp_path, monkeypatch, capsys):
     finally:
         os.close(fd)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_output_streams_rows_atomically(tmp_path, monkeypatch, capsys):
+    # rows are written as they are made: a write failing after the header
+    # and a row still leaves the old target whole and no temp file behind
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    message = f"usage error: cannot write {target}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(target)!r}\n"
+    files = []
+
+    def failing_open(path, mode):
+        files.append(_FailingWrite(open(path, mode), fail_at=3))
+        return files[-1]
+
+    for fmt in ("csv", "json"):
+        argv = ("--output", str(target), "--format", fmt, "survey", "e-mu", "--mu", "2", "--limit", "50")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "open", failing_open, raising=False)
+            assert run_cli(*argv, capsys=capsys) == (2, "", message), fmt
+        assert files.pop().writes == 3, fmt  # two writes went through before the third failed
+        assert target.read_bytes() == b"old bytes\n", fmt
+        assert os.listdir(tmp_path) == ["out.csv"], fmt  # no temp file left
+    # a row that fails to be made leaves the target as whole, but stdout
+    # keeps the rows written before it
+    real_e_mu = cli.E_mu
+
+    def failing_e_mu(mu, limit):
+        def entries():
+            yield from real_e_mu(mu, limit).entries[:2]
+            raise RuntimeError("boom")
+        return SimpleNamespace(entries=entries())
+
+    monkeypatch.setattr(cli, "E_mu", failing_e_mu)
+    argv = ("--format", "csv", "survey", "e-mu", "--mu", "2", "--limit", "50")
+    assert run_cli("--output", str(target), *argv, capsys=capsys) == (3, "", "internal error: RuntimeError: boom\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 3 and out == "trace,signed_norm,d,sqrt_coeff,value\n0,-2,2,2,1.414213562\n2,-2,3,2,2.732050808\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_matches_stdout(fmt, tmp_path, capsys):
+    # every table command writes the same bytes to --output as to stdout
+    commands = [
+        ("survey", "e-mu", "--mu", "2", "--limit", "50"),
+        ("survey", "bound", "--mu", "2", "--limit", "60"),
+        ("survey", "pell", "--limit", "30"),
+        ("pairs", "2", "0", "7"),
+        ("coverage", "2", "--t-max", "10", "--y-max", "50"),
+        ("ideals", "61", "3"),
+        ("density", "2", "0", "7", "3", "--k-max", "50"),
+    ]
+    path = tmp_path / "out"
+    for argv in commands:
+        code, out, err = run_cli("--format", fmt, *argv, capsys=capsys)
+        assert code == 0 and out and err == "", argv
+        assert run_cli("--format", fmt, "--output", str(path), *argv, capsys=capsys) == (0, "", ""), argv
+        assert path.read_bytes() == out.encode(), argv
 
 
 def test_env_budget_override(tmp_path):

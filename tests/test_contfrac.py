@@ -88,11 +88,15 @@ def test_walk_step_budget(monkeypatch):
     d = 9_999_991  # period 8096, closed at the midpoint after 4049 steps
     ctx = FieldContext(d)
     assert CFExpansion(ctx).l == 8096
+    assert expand_omega(ctx).l == 8096  # cached under the default budget
     monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 4049)
     assert CFExpansion(ctx).l == 8096
     monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 4048)
     with pytest.raises(BudgetError, match="not closed within 4048 steps"):
         CFExpansion(ctx)
+    # the cache never answers a lower budget with an expansion walked under a higher one
+    with pytest.raises(BudgetError, match="not closed within 4048 steps"):
+        expand_omega(ctx)
     with pytest.raises(BudgetError):
         regulator(ctx)
     # the unit walks the same half period under the same budget
@@ -100,6 +104,9 @@ def test_walk_step_budget(monkeypatch):
         fundamental_unit(ctx)
     monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 4049)
     assert fundamental_unit(ctx).norm() == 1
+    hits = expand_omega.cache_info().hits
+    assert expand_omega(ctx) is expand_omega(ctx)
+    assert expand_omega.cache_info().hits == hits + 1
 
 
 def _walks(run):

@@ -138,3 +138,17 @@ def test_one_residual_certificate():
     # the residual certificate is decided in one place: a per-index twin
     # calling the delta test would decide it a second time
     assert _uses("_delta_within") == ["contfrac.py.residuals_hold"]
+
+
+def test_cli_streams_its_output():
+    # tables go to stdout or the --output file row by row: cli.py builds no
+    # whole output text in a buffer first
+    found = [scope for name in ("StringIO", "getvalue") for scope in _uses(name)]
+    assert [scope for scope in found if scope.startswith("cli.py")] == []
+
+
+def test_e_mu_entries_have_slots():
+    # E_mu holds up to 2x entries at once: no per-instance __dict__
+    from quadunit.survey import EMuEntry
+
+    assert not hasattr(EMuEntry(1.0, 2, 2, -2, 1), "__dict__")

@@ -17,7 +17,7 @@ from quadunit.survey import (
     theorem_bound_sweep,
 )
 
-from oracles import e_mu_fields, negative_pell_bruteforce
+from oracles import e_mu_consider, e_mu_fields, negative_pell_bruteforce
 
 
 def test_minimal_elements_examples():
@@ -107,6 +107,51 @@ def test_e_mu_routes_agree():
             assert a.count == len(b)
     for mu in (2, 3):
         assert E_mu(mu, 100).keys() == set(e_mu_fields(mu, 100))
+    # non-integer bounds, and a mu whose small fields take the associate-class scan
+    for mu, x in ((1, Fraction(7, 2)), (3, Fraction(201, 2)), (7, 5), (7, Fraction(11, 2))):
+        assert E_mu(mu, x).keys() == set(e_mu_fields(mu, x)), (mu, x)
+
+
+def test_e_mu_pre_tests_are_exact(monkeypatch):
+    # the integer pre-tests keep exactly the candidates the three exact signs
+    # keep, in the same order, and take an exact sign only inside the
+    # windows of _e_mu_trace: m <= 0 for xi > 1, m > floor(x) - mu for
+    # xi < x, |m - m_e| <= mu for xi <= eps_d
+    from quadunit import survey
+
+    signs = []
+
+    def counted(u, v, d):
+        signs.append((u, v, d))
+        return sign_plus_sqrt(u, v, d)
+
+    monkeypatch.setattr(survey, "sign_plus_sqrt", counted)
+    edges = set()  # window edges some candidate sat on
+    xs = (Fraction(11, 10), Fraction(6, 5), 2, Fraction(7, 2), 5, 12, 30, 100, Fraction(201, 2),
+          1000, Fraction(4001, 3))
+    for mu in (1, 2, 3, 5, 7, 997):
+        for x in xs:
+            m_below, units = int(x) - mu, survey._unit_map(int(x) + 2)
+            candidates = e_mu_consider(mu, x)
+            kept = [c[:4] for c in candidates if c[4] == 3]
+            window = 0
+            for m, _, d, _, passed in candidates:
+                window += m <= 0
+                if passed >= 1:
+                    window += m > m_below
+                    edges.add(("x", m - m_below))
+                if passed >= 2 and d in units:
+                    offset = m - units[d][0]
+                    window += abs(offset) <= mu
+                    edges.update({("eps low", offset + mu), ("eps high", offset - mu)})
+            signs.clear()
+            got = survey._e_mu_trace(mu, Fraction(x))
+            assert [(e.trace, e.signed_norm, e.d, e.sqrt_coeff) for e in got] == kept, (mu, x)
+            assert len(signs) == window, (mu, x)
+            assert E_mu(mu, x).keys() == {(d, m, sigma) for m, sigma, d, _ in kept}, (mu, x)
+    # each window's bound was met from both sides
+    want = {("x", 0), ("x", 1), ("eps low", -1), ("eps low", 0), ("eps high", 0), ("eps high", 1)}
+    assert want <= edges, want - edges
 
 
 def test_unit_map_matches_fundamental_units():

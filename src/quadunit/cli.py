@@ -1,11 +1,12 @@
-"""Command-line entry point and the parallel sweep driver.
+"""Command-line entry point.
 
 Output is byte-deterministic for a fixed configuration: single-instance
 queries emit one JSON document, sweeps emit JSON Lines or CSV with a fixed
 row order, and nothing timestamped ever enters a data row.  Exit status is
 0 on success, 1 when a budget is exhausted, 2 on usage errors and 3 on an
 internal fault (any other exception, reported as one ``internal error:``
-line on stderr).
+line on stderr).  A reader that closes stdout early is not a fault: the
+command stops writing and exits 0.
 """
 
 from __future__ import annotations
@@ -32,22 +33,10 @@ from .progressions import (
     squarefree_flags,
 )
 from .quadfield import decimal_approx, field_context, format_quadint
-from .survey import (
-    E_mu,
-    _bound_rows,
-    _check_probe_constant,
-    assemble_bound_report,
-    f_mu,
-    negative_pell,
-    rank_correlation,
-)
+from .survey import E_mu, f_mu, negative_pell, rank_correlation, theorem_bound_sweep
 
 
 ENV_TRIAL_BOUND = "QUADUNIT_FACTOR_BUDGET"
-
-# Bound-sweep chunks per worker: enough that the costlier high-trace
-# chunks spread evenly over the pool.
-SHARDS_PER_JOB = 8
 
 
 @lru_cache(maxsize=1)  # one parser per process: building one costs more than most queries
@@ -129,8 +118,7 @@ def main(argv=None) -> int:
         parser.error("--factor-budget must be >= 2")
     ns.jobs = max(1, min(ns.jobs, os.cpu_count() or 1))
     try:
-        ns.factor_budget = _resolve_budget(ns.factor_budget)
-        with factor_budget(ns.factor_budget):  # this call only
+        with factor_budget(_resolve_budget(ns.factor_budget)):  # this call only
             return _HANDLERS[ns.subcommand](ns)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
@@ -184,7 +172,15 @@ def _emit(ns: argparse.Namespace, doc=None, header=(), rows=None) -> int:
             print(f"usage error: cannot write {ns.output}: {exc}", file=sys.stderr)
             return 2
     else:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout (``| head``), which is not a fault;
+            # fd 1 goes to the null device so the final flush cannot raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0
 
 
@@ -295,12 +291,6 @@ def _cmd_hensel(ns: argparse.Namespace) -> int:
     })
 
 
-def _bound_chunk(args) -> list:
-    mu, lo, hi, bound = args
-    with factor_budget(bound):
-        return _bound_rows(mu, lo, hi)
-
-
 def _cmd_survey(ns: argparse.Namespace) -> int:
     if ns.kind != "bound" and ns.probe_constant is not None:
         raise ValueError(f"--probe-constant applies only to survey bound, not {ns.kind}")
@@ -317,22 +307,8 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
     if ns.kind == "pell":
         rows = [(d,) for d in negative_pell(ns.limit, route="progression")]
         return _emit(ns, header=("d",), rows=rows)
-    # bound sweep over trace chunks, serial or on a pool (merge order is
-    # fixed: chunks ascend, rows inside each chunk ascend, so parallel ==
-    # serial).  The cost of a trace grows with T, so each worker gets several
-    # small contiguous chunks from pool.map rather than one large one.
     probe = 0.0 if ns.probe_constant is None else ns.probe_constant
-    _check_probe_constant(probe)
-    tasks = [(ns.mu, lo, hi, ns.factor_budget) for lo, hi in _shard(2, ns.limit, ns.jobs * SHARDS_PER_JOB)]
-    if ns.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
-
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            parts = list(pool.map(_bound_chunk, tasks))
-    else:
-        parts = list(map(_bound_chunk, tasks))
-    rows = [r for part in parts for r in part]
-    report = assemble_bound_report(ns.mu, ns.limit, probe, rows)
+    report = theorem_bound_sweep(ns.mu, ns.limit, probe, jobs=ns.jobs)
     data_rows = ((r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows)
     if ns.format == "csv":
         return _emit(ns, header=("trace", "d", "D", "log_eps", "residual"), rows=data_rows)
@@ -348,13 +324,6 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
         "decile_rank_correlation": rank_correlation(report.decile_means),
         "rows": [list(r) for r in data_rows],
     })
-
-
-def _shard(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """At most ``jobs`` contiguous chunks of [lo, hi], ascending.  An empty
-    range is one empty chunk, so its worker still checks the arguments."""
-    size = max(1, -(-(hi - lo + 1) // jobs))
-    return [(a, min(hi, a + size - 1)) for a in range(lo, hi + 1, size)] or [(lo, hi)]
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:

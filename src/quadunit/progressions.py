@@ -510,13 +510,7 @@ def _pairs_containing(mu: int, d: int, y_max: int):
                     yield found
 
 
-def coverage_report(
-    mu: int,
-    t_max: int,
-    y_max: int,
-    k_max: int,
-    scan_limit: int = 100_000,
-) -> CoverageReport:
+def coverage_report(mu: int, t_max: int, y_max: int, k_max: int) -> CoverageReport:
     """Check that every witness radicand lands in some progression.
 
     Witnesses are the square-free kernels d > 1 of T^2 - 4 mu over
@@ -537,7 +531,7 @@ def coverage_report(
         for pair, n in _pairs_containing(mu, d, y_max):
             prog = prog_cache.get(pair)
             if prog is None:
-                prog = build_progression(pair, scan_limit)
+                prog = build_progression(pair)
                 prog_cache[pair] = prog
             if d >= prog.t:
                 k = prog.index(n)

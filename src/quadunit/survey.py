@@ -19,6 +19,8 @@ from fractions import Fraction
 
 from .arith import (
     BudgetError,
+    _bound_in_force,
+    factor_budget,
     factorize,
     is_square,
     is_squarefree,
@@ -365,11 +367,17 @@ class BoundReport:
     decile_means: tuple[float, ...]  # mean residual per D-decile, D ascending
 
 
+# Bound-sweep chunks per worker: enough that the costlier high-trace
+# chunks spread evenly over the pool.
+SHARDS_PER_JOB = 8
+
+
 def theorem_bound_sweep(
     mu: int,
     t_max: int,
     probe_constant: float = 0.0,
     t_min: int = 2,
+    jobs: int = 1,
 ) -> BoundReport:
     """Residuals of log(eps_d) against the quadratic-in-log lower bound.
 
@@ -382,23 +390,33 @@ def theorem_bound_sweep(
     The bound's absolute constant is unknown, so only the empirical lower
     envelope is reported; regulators come from the half-period continued
     fraction walk (certified well below 1e-9 relative error).
+
+    The traces are swept in ``SHARDS_PER_JOB * jobs`` contiguous ascending
+    chunks, one after another, or on a pool of ``jobs`` processes when
+    jobs > 1.  The cost of a trace grows with T, so each worker gets
+    several small chunks rather than one large one.  Rows merge in chunk
+    order, so the report does not depend on jobs, and every chunk runs
+    under the trial bound in force for this call.  A NaN or infinite
+    probe constant (it would print as non-JSON and make the violation
+    count meaningless), a bad mu and jobs < 1 raise ValueError before any
+    chunk runs.
     """
-    _check_probe_constant(probe_constant)
-    rows = _bound_rows(mu, t_min, t_max)
-    return assemble_bound_report(mu, t_max, probe_constant, rows)
-
-
-def _check_probe_constant(probe_constant: float) -> None:
-    """Reject a NaN or infinite probe constant, before any sweep runs: it
-    would print as non-JSON and make the violation count meaningless."""
     if not math.isfinite(probe_constant):
         raise ValueError(f"probe_constant must be finite, got {probe_constant}")
+    if mu < 2 or not is_squarefree(mu):
+        raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    bound = _bound_in_force.get()
+    tasks = [(mu, lo, hi, bound) for lo, hi in _shard(t_min, t_max, jobs * SHARDS_PER_JOB)]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
-
-def assemble_bound_report(
-    mu: int, t_max: int, probe_constant: float, rows: list[BoundRow]
-) -> BoundReport:
-    """Summarize sweep rows; shared by the serial and sharded drivers."""
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_bound_chunk, tasks))
+    else:
+        parts = list(map(_bound_chunk, tasks))
+    rows = [r for part in parts for r in part]
     if not rows:
         raise ValueError(f"no admissible traces at or below {t_max}")
     residuals = sorted(r.residual for r in rows)
@@ -424,20 +442,28 @@ def assemble_bound_report(
     )
 
 
-def _bound_rows(mu: int, t_min: int, t_max: int) -> list[BoundRow]:
-    """Sweep worker: rows for traces in [t_min, t_max], ascending.
+def _shard(lo: int, hi: int, count: int) -> list[tuple[int, int]]:
+    """At most ``count`` contiguous chunks of [lo, hi], ascending."""
+    size = max(1, -(-(hi - lo + 1) // count))
+    return [(a, min(hi, a + size - 1)) for a in range(lo, hi + 1, size)]
 
-    The serial sweep and every ``--jobs`` shard run this, so mu is checked
-    here, before the range is looked at.
-    """
-    if mu < 2 or not is_squarefree(mu):
-        raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
+
+def _bound_chunk(args) -> list[BoundRow]:
+    """One chunk ``(mu, lo, hi, bound)`` of the sweep, under its trial bound."""
+    mu, lo, hi, bound = args
+    with factor_budget(bound):
+        return _bound_rows(mu, lo, hi)
+
+
+def _bound_rows(mu: int, t_min: int, t_max: int) -> list[BoundRow]:
+    """Rows for traces in [t_min, t_max], ascending; mu is checked by the caller."""
     log_mu = math.log(mu)
     coeff = 3.0 - 2.0 * math.log(2) / log_mu
     rows = []
     for t, d, _ in trace_kernels(mu, t_min, t_max):
-        reg = regulator(field_context(d))
-        D = d if d % 4 == 1 else 4 * d
+        ctx = field_context(d)
+        reg = regulator(ctx)
+        D = ctx.discriminant
         x = 0.5 * math.log(D) - math.log(2)
         rows.append(BoundRow(t, d, D, reg, reg - (x * x / log_mu - coeff * x)))
     return rows

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadunit import cli, contfrac, quadfield
+from quadunit import cli, contfrac, quadfield, survey
 from quadunit.arith import UnfactoredError, factor_budget
 from quadunit.cli import main
 
@@ -136,7 +136,7 @@ def test_usage_errors(monkeypatch, capsys):
     def no_sweep(*args):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli, "_bound_rows", no_sweep)
+    monkeypatch.setattr(survey, "_bound_rows", no_sweep)
     bound = ("survey", "bound", "--mu", "2", "--limit", "20")
     cases = [
         (("coverage", "0"), "mu must be a nonzero square-free integer, got 0"),
@@ -303,6 +303,30 @@ def test_output_file_matches_stdout(fmt, tmp_path, capsys):
         assert path.read_bytes() == out.encode(), argv
 
 
+def test_closed_stdout_is_not_a_fault(tmp_path):
+    # a reader that stops early (``| head -1``) ends the run with exit 0 and
+    # nothing on stderr; the table is far larger than the pipe buffer, so
+    # the writer is still writing when the pipe closes.  A pipe at --output
+    # that closes early stays a write failure (exit 2).
+    argv = [sys.executable, "-m", "quadunit.cli", "--format", "csv", "survey", "e-mu", "--mu", "3", "--limit", "20000"]
+    header = b"trace,signed_norm,d,sqrt_coeff,value\n"
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == header
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen([*argv[:3], "--output", str(fifo), *argv[3:]], stderr=subprocess.PIPE)
+    with open(fifo, "rb") as reader:
+        assert reader.readline() == header
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2 and err.startswith(f"usage error: cannot write {fifo}: ".encode())
+
+
 def test_env_budget_override(tmp_path):
     env = dict(os.environ, QUADUNIT_FACTOR_BUDGET="10")
     # kernel of a semiprime beyond the tiny budget: exit 1
@@ -359,8 +383,8 @@ def test_parallel_bound_sweep_keeps_the_budget(monkeypatch, capsys):
     assert run_cli(*argv, capsys=capsys) == serial
     assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
     with pytest.raises(UnfactoredError):
-        cli._bound_chunk((2, 2, 200, 10))
-    assert cli._bound_chunk((2, 2, 200, 10**6)) == cli._bound_rows(2, 2, 200)
+        survey._bound_chunk((2, 2, 200, 10))
+    assert survey._bound_chunk((2, 2, 200, 10**6)) == survey._bound_rows(2, 2, 200)
 
 
 def test_factor_budget_flag_does_not_leak(capsys):

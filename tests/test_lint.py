@@ -1,6 +1,8 @@
 """Static checks over the library source."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import quadunit
@@ -152,3 +154,25 @@ def test_e_mu_entries_have_slots():
     from quadunit.survey import EMuEntry
 
     assert not hasattr(EMuEntry(1.0, 2, 2, -2, 1), "__dict__")
+
+
+def test_cli_imports_no_private_names():
+    # the CLI drives the library through its public names only
+    tree = dict(_library_trees())["cli.py"]
+    found = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("quadunit"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_one_bound_sweep_pool():
+    # the process pool of the bound sweep lives in its one driver
+    found = _uses("ProcessPoolExecutor")
+    assert found and set(found) == {"survey.py.theorem_bound_sweep"}, found
+
+
+def test_cli_import_leaves_the_pool_out():
+    # a query that starts no pool does not pay for importing one
+    code = "import sys, quadunit.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

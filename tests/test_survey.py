@@ -1,8 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+from quadunit import survey
 from quadunit.arith import BudgetError, is_squarefree
 from quadunit.contfrac import fundamental_unit
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
@@ -293,6 +295,23 @@ def test_bound_sweep_deterministic():
     a = theorem_bound_sweep(2, 300)
     b = theorem_bound_sweep(2, 300)
     assert a == b
+
+
+def test_bound_sweep_on_a_pool_matches_serial():
+    # a real 2-process pool sweeps the same chunks and merges them in order
+    serial = theorem_bound_sweep(2, 300)
+    pooled = theorem_bound_sweep(2, 300, jobs=2)
+    for field in dataclasses.fields(serial):
+        assert getattr(pooled, field.name) == getattr(serial, field.name), field.name
+
+
+def test_bound_sweep_rejects_jobs_below_one(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(survey, "_bound_rows", no_chunk)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
+        theorem_bound_sweep(2, 300, jobs=0)
 
 
 def test_rank_correlation():

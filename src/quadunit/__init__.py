@@ -18,6 +18,7 @@ from .arith import (
     jacobi,
     mod_inverse,
     squarefree_kernel,
+    trial_bound,
 )
 from .contfrac import (
     CFExpansion,

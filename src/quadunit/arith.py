@@ -44,11 +44,12 @@ def factor_budget(bound: int):
         _bound_in_force.reset(token)
 
 
-def isqrt(n: int) -> int:
-    """Exact integer square root: the r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError("isqrt of negative integer")
-    return math.isqrt(n)
+def trial_bound() -> int:
+    """The trial-division bound in force for the current thread or task."""
+    return _bound_in_force.get()
+
+
+isqrt = math.isqrt  # exact: the r with r*r <= n < (r+1)*(r+1)
 
 
 def is_square(n: int) -> bool:
@@ -157,22 +158,29 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1, or UnfactoredError."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    bound = _bound_in_force.get()
+def _trial_divide(n: int) -> tuple[list[tuple[int, int]], int, bool]:
+    """(pairs, m, exhausted): n >= 1 trial-divided by the primes up to the
+    bound in force, the cofactor m left, and whether every prime up to
+    min(bound, isqrt(n) + 1) was tried (when not, m is 1 or a prime)."""
     pairs = []
     m = n
-    for p in primes_up_to(min(bound, math.isqrt(n) + 1)):
+    for p in primes_up_to(min(_bound_in_force.get(), math.isqrt(n) + 1)):
         if p * p > m:
-            break
+            return pairs, m, False
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             pairs.append((p, e))
+    return pairs, m, True
+
+
+def factorize(n: int) -> Factorization:
+    """Complete prime factorization of n >= 1, or UnfactoredError."""
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    pairs, m, _ = _trial_divide(n)
     if m > 1:
         if is_prime(m):
             pairs.append((m, 1))
@@ -185,7 +193,7 @@ def factorize(n: int) -> Factorization:
                     break
             else:
                 raise UnfactoredError(
-                    f"cofactor {m} of {n} not factored within budget {bound}"
+                    f"cofactor {m} of {n} not factored within budget {_bound_in_force.get()}"
                 )
     pairs.sort()
     return Factorization(tuple(pairs))
@@ -200,36 +208,22 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError(f"squarefree_kernel requires n >= 1, got {n}")
-    bound = _bound_in_force.get()
-    kernel = 1
-    cof = 1
-    m = n
-    exhausted = True
-    for p in primes_up_to(min(bound, math.isqrt(n) + 1)):
-        if p * p > m:
-            exhausted = False
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e & 1:
-                kernel *= p
-            cof *= p ** (e >> 1)
+    pairs, m, exhausted = _trial_divide(n)
+    kernel = cof = 1
+    for p, e in pairs:
+        kernel *= p ** (e & 1)
+        cof *= p ** (e >> 1)
     if m > 1:
+        bound = _bound_in_force.get()
         if not exhausted:
-            # m is prime (no factor up to its square root)
-            kernel *= m
+            kernel *= m  # prime: no factor up to its square root
         elif is_square(m):
             cof *= math.isqrt(m)
         elif m < bound**3:
             # prime or product of two distinct primes: square-free either way
             kernel *= m
         else:
-            raise UnfactoredError(
-                f"cofactor {m} of {n} not resolved within budget {bound}"
-            )
+            raise UnfactoredError(f"cofactor {m} of {n} not resolved within budget {bound}")
     return kernel, cof
 
 

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="cross-field surveys")
     p.add_argument("kind", choices=("e-mu", "f-mu", "pell", "bound"))
-    p.add_argument("--mu", type=int, default=2)
+    p.add_argument("--mu", type=int, help="survey e-mu, f-mu and bound only (default 2)")
     p.add_argument("--limit", type=int, default=100)
     p.add_argument("--probe-constant", type=float, help="survey bound only (default 0.0)")
 
@@ -294,12 +294,15 @@ def _cmd_hensel(ns: argparse.Namespace) -> int:
 def _cmd_survey(ns: argparse.Namespace) -> int:
     if ns.kind != "bound" and ns.probe_constant is not None:
         raise ValueError(f"--probe-constant applies only to survey bound, not {ns.kind}")
+    if ns.kind == "pell" and ns.mu is not None:
+        raise ValueError("--mu applies only to survey e-mu, f-mu and bound, not pell")
+    mu = 2 if ns.mu is None else ns.mu
     if ns.kind == "e-mu":
-        rep = E_mu(ns.mu, ns.limit)
+        rep = E_mu(mu, ns.limit)
         rows = ((e.trace, e.signed_norm, e.d, e.sqrt_coeff, f"{e.value:.9f}") for e in rep.entries)
         return _emit(ns, header=("trace", "signed_norm", "d", "sqrt_coeff", "value"), rows=rows)
     if ns.kind == "f-mu":
-        rep = f_mu(ns.mu, ns.limit)
+        rep = f_mu(mu, ns.limit)
         return _emit(ns, doc={
             "mu": rep.mu, "N": rep.n_bound, "count": rep.count,
             "ratio": rep.ratio, "liminf_bound": rep.liminf_bound,
@@ -308,7 +311,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
         rows = [(d,) for d in negative_pell(ns.limit, route="progression")]
         return _emit(ns, header=("d",), rows=rows)
     probe = 0.0 if ns.probe_constant is None else ns.probe_constant
-    report = theorem_bound_sweep(ns.mu, ns.limit, probe, jobs=ns.jobs)
+    report = theorem_bound_sweep(mu, ns.limit, probe, jobs=ns.jobs)
     data_rows = ((r.trace, r.d, r.D, f"{r.log_eps:.9f}", f"{r.residual:.9f}") for r in report.rows)
     if ns.format == "csv":
         return _emit(ns, header=("trace", "d", "D", "log_eps", "residual"), rows=data_rows)

@@ -204,7 +204,7 @@ class CFExpansion:
         return self._e * self.state(n + 1)[1] // 2
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # the last expansion only, as _half_cycle keeps the last walk
 def _expand_omega(ctx: FieldContext, max_steps: int) -> CFExpansion:
     return CFExpansion(ctx)  # walked under max_steps, which is MAX_CF_STEPS now
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import _bound_in_force, isqrt, squarefree_kernel
+from .arith import isqrt, squarefree_kernel, trial_bound
 
 
 def sign_plus_sqrt(u: int, v: int, d: int) -> int:
@@ -98,7 +98,7 @@ def _field_context(d: int, bound: int) -> FieldContext:
 def field_context(d: int) -> FieldContext:
     """The cached context of d, keyed on the trial bound in force as well:
     a radicand factored under one budget never answers for another."""
-    return _field_context(d, _bound_in_force.get())
+    return _field_context(d, trial_bound())
 
 
 field_context.cache_info = _field_context.cache_info

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .arith import (
     BudgetError,
-    _bound_in_force,
     factor_budget,
     factorize,
     is_square,
@@ -27,6 +26,7 @@ from .arith import (
     isqrt,
     jacobi,
     squarefree_integers_upto,
+    trial_bound,
 )
 from .contfrac import CFExpansion, expand_omega, fundamental_unit, regulator
 from .ideals import principal_basis
@@ -407,7 +407,7 @@ def theorem_bound_sweep(
         raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    bound = _bound_in_force.get()
+    bound = trial_bound()
     tasks = [(mu, lo, hi, bound) for lo, hi in _shard(t_min, t_max, jobs * SHARDS_PER_JOB)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import

@@ -18,12 +18,14 @@ from quadunit.arith import (
     primes_up_to,
     sqrt_mod_prime,
     squarefree_kernel,
+    trial_bound,
 )
 
 rng = random.Random(0xC0FFEE)
 
 
 def test_isqrt_examples():
+    assert isqrt is math.isqrt
     assert isqrt(0) == 0
     assert isqrt(3481) == 59
     assert isqrt(71) == 8
@@ -193,3 +195,52 @@ def test_sqrt_mod_prime():
 def test_is_square():
     assert is_square(0) and is_square(49) and not is_square(50)
     assert not is_square(-4)
+
+
+def test_trial_bound_reads_the_budget_in_force():
+    outer = trial_bound()
+    assert outer == arith.DEFAULT_TRIAL_BOUND
+    with factor_budget(1000):
+        assert trial_bound() == 1000
+        with factor_budget(100):
+            assert trial_bound() == 100
+        assert trial_bound() == 1000
+    assert trial_bound() == outer
+
+
+def test_kernel_agrees_with_factorize():
+    # both read one trial-division pass: wherever factorize succeeds, the
+    # kernel is the odd part of each exponent and the cofactor the rest,
+    # unless the one prime power above B is at least B**3 and not a square
+    # (then a prime and a product of two primes look the same)
+    agreed = refused = 0
+    for budget in (arith.DEFAULT_TRIAL_BOUND, 1000, 100):
+        with factor_budget(budget):
+            for _ in range(400):
+                n = rng.randrange(1, 10**9)
+                try:
+                    pairs = factorize(n).pairs
+                except UnfactoredError:
+                    continue
+                kernel = math.prod(p ** (e & 1) for p, e in pairs)
+                cof = math.prod(p ** (e >> 1) for p, e in pairs)
+                rest = math.prod(p**e for p, e in pairs if p > budget)  # the cofactor after the pass
+                if rest >= budget**3 and not is_square(rest):
+                    with pytest.raises(UnfactoredError, match=f"not resolved within budget {budget}$"):
+                        squarefree_kernel(n)
+                    refused += 1
+                else:
+                    assert squarefree_kernel(n) == (kernel, cof), (budget, n)
+                    agreed += 1
+    assert agreed > 500 and refused > 0
+
+
+def test_kernel_resolves_the_cube_window():
+    # primes B < p < q with p*q < B**3: the kernel resolves p*q, factorize
+    # cannot split it and says so, naming B
+    for bound, p, q in ((100, 101, 103), (100, 101, 9887), (1000, 1009, 1013), (1000, 1009, 991_009)):
+        assert p * q < bound**3
+        with factor_budget(bound):
+            assert squarefree_kernel(p * q) == (p * q, 1)
+            with pytest.raises(UnfactoredError, match=f"cofactor {p * q} of {p * q} not factored within budget {bound}$"):
+                factorize(p * q)

@@ -151,6 +151,8 @@ def test_usage_errors(monkeypatch, capsys):
         for value in ("0.5", "nan"):
             argv = ("survey", kind, "--mu", "2", "--limit", "5", "--probe-constant", value)
             cases.append((argv, f"--probe-constant applies only to survey bound, not {kind}"))
+    cases.append((("survey", "pell", "--mu", "7", "--limit", "5"),
+                  "--mu applies only to survey e-mu, f-mu and bound, not pell"))
     # pairs checks mu as coverage does, also when y_max leaves nothing to scan
     for mu, y_max in (("4", "0"), ("0", "0"), ("4", "3"), ("-12", "5")):
         cases.append((("pairs", mu, "0", y_max), f"mu must be a nonzero square-free integer, got {mu}"))

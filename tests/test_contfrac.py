@@ -109,6 +109,15 @@ def test_walk_step_budget(monkeypatch):
     assert expand_omega.cache_info().hits == hits + 1
 
 
+def test_expand_omega_keeps_the_last_expansion():
+    # one expansion held at a time, as the half-period memo holds one walk
+    expand_omega.cache_clear()
+    expand_omega(field_context(94))
+    last = expand_omega(field_context(1000099))
+    assert expand_omega.cache_info().currsize == 1
+    assert expand_omega(field_context(1000099)) is last
+
+
 def _walks(run):
     """Calls of the undecorated half-period walk made by run(), from cold caches.
 

@@ -156,13 +156,29 @@ def test_e_mu_entries_have_slots():
     assert not hasattr(EMuEntry(1.0, 2, 2, -2, 1), "__dict__")
 
 
-def test_cli_imports_no_private_names():
-    # the CLI drives the library through its public names only
-    tree = dict(_library_trees())["cli.py"]
-    found = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+def test_library_imports_no_private_names():
+    # each module, the CLI included, reads the others through their public
+    # names only (the trial bound through arith.trial_bound, for one)
+    found = [f"{name}:{node.lineno} {node.module}.{alias.name}" for name, node in _library_nodes()
              if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("quadunit"))
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _is_trial_loop(node) -> bool:
+    """node is ``primes_up_to(min(...))``, the trial primes of one input."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "primes_up_to"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "min")
+
+
+def test_one_trial_division_pass():
+    # factorize and squarefree_kernel share one trial-division loop: a
+    # copied loop would need every budget change made twice
+    calls = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _is_trial_loop(node)]
+    scopes = [f"{name}.{fn.name}" for name, tree in _library_trees() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and any(map(_is_trial_loop, ast.walk(fn)))]
+    assert len(calls) == 1 and scopes == ["arith.py._trial_divide"], (calls, scopes)
 
 
 def test_one_bound_sweep_pool():

@@ -117,7 +117,11 @@ def main(argv=None) -> int:
     if ns.factor_budget is not None and ns.factor_budget < 2:
         parser.error("--factor-budget must be >= 2")
     ns.jobs = max(1, min(ns.jobs, os.cpu_count() or 1))
+    set_digits = getattr(sys, "set_int_max_str_digits", None)  # CPython 3.10.7+
+    old_digits = sys.get_int_max_str_digits() if set_digits else None
     try:
+        if set_digits:
+            set_digits(0)  # this call only: a unit's coefficients can run to thousands of digits
         with factor_budget(_resolve_budget(ns.factor_budget)):  # this call only
             return _HANDLERS[ns.subcommand](ns)
     except BudgetError as exc:
@@ -129,6 +133,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if set_digits:
+            set_digits(old_digits)
 
 
 def _resolve_budget(flag: int | None) -> int:

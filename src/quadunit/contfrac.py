@@ -176,9 +176,7 @@ class CFExpansion:
     def xi(self, n: int) -> QuadInt:
         """xi_n = conj(p_n - q_n w[d])."""
         p, q = self.convergent(n)
-        if self.ctx.is_half:
-            return QuadInt(self.ctx, p - q, q)
-        return QuadInt(self.ctx, p, q)
+        return QuadInt(self.ctx, p, -q).conj()
 
     def nu(self, n: int) -> int:
         """nu_n = |N(xi_n)| = e Q_{n+1} / 2, read from the state of alpha_{n+1}.
@@ -247,9 +245,7 @@ def fundamental_unit(ctx: FieldContext) -> QuadInt:
         p, q = p * q + p1 * q1, q * q + q1 * q1
     else:
         p, q = p * q1 + p1 * q2, q1 * (q + q2)
-    if ctx.is_half:
-        return QuadInt(ctx, p - q, q)
-    return QuadInt(ctx, p, q)
+    return QuadInt(ctx, p - q * ctx.omega_trace, q)  # conj(p - q w[d]), as in xi
 
 
 def residuals_hold(exp: CFExpansion) -> bool:

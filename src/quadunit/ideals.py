@@ -2,7 +2,7 @@
 
 An integral ideal is represented only through its unique canonical basis
 [a, b + c*w] over Z, where w = (D + sqrt(D))/2 (note: this is a different
-generator than w[d]; both live on :class:`FieldContext`).  The defining
+generator than w[d]; :func:`omega_ideal` builds it).  The defining
 conditions are
 
     (i)   a > 0, c > 0, a*c = N(I),
@@ -29,10 +29,8 @@ from .quadfield import (
 
 
 def omega_ideal(ctx: FieldContext) -> QuadInt:
-    """w = (D + sqrt(D))/2 expressed over the {1, w[d]} basis."""
-    if ctx.is_half:
-        return QuadInt(ctx, (ctx.d - 1) // 2, 1)
-    return QuadInt(ctx, 2 * ctx.d, 1)
+    """w = (D + sqrt(D))/2 = (D + e*sqrt(d))/2, e = sqrt_disc_scale."""
+    return QuadInt.from_half(ctx, ctx.discriminant, ctx.sqrt_disc_scale)
 
 
 @dataclass(frozen=True)
@@ -88,13 +86,10 @@ def canonical_from_module(ctx: FieldContext, a: int, b0: int, c: int) -> IdealBa
 
 
 def _omega_coords(x: QuadInt) -> tuple[int, int]:
-    """Coordinates (u, v) of x over the {1, w} basis, w = (D + sqrt D)/2."""
-    ctx = x.ctx
-    if ctx.is_half:
-        # w = (d-1)/2 + w[d]
-        return x.a - x.b * (ctx.d - 1) // 2, x.b
-    # w = 2d + sqrt(d)
-    return x.a - 2 * ctx.d * x.b, x.b
+    """Coordinates (u, v) of x over the {1, w} basis, w = (D + e*sqrt(d))/2."""
+    u, v = x.half_coords()
+    v //= x.ctx.sqrt_disc_scale
+    return (u - v * x.ctx.discriminant) // 2, v
 
 
 def principal_basis(xi: QuadInt) -> IdealBasis:
@@ -133,9 +128,8 @@ def alpha_of_ideal(basis: IdealBasis) -> QuadIrr:
     """The associated quadratic irrational (b + c*w)/a, as (P + sqrt d)/Q."""
     ctx = basis.ctx
     ah, bh = basis.a // basis.c, basis.b // basis.c
-    if ctx.is_half:
-        return QuadIrr(ctx.d, 2 * bh + ctx.d, 2 * ah)
-    return QuadIrr(ctx.d, bh + 2 * ctx.d, ah)
+    e = ctx.sqrt_disc_scale  # (bh + w)/ah = (2 bh + D + e sqrt(d)) / (2 ah)
+    return QuadIrr(ctx.d, (2 * bh + ctx.discriminant) // e, 2 * ah // e)
 
 
 def is_reduced_ideal(basis: IdealBasis) -> bool:
@@ -153,10 +147,8 @@ def conjugate_coprime(basis: IdealBasis) -> bool:
 
 
 def mu_below_omega(ctx: FieldContext, mu: int) -> bool:
-    """Exact test of the counting hypothesis mu < w[d]."""
-    if ctx.is_half:
-        return (2 * mu - 1) ** 2 < ctx.d if mu >= 1 else True
-    return mu * mu < ctx.d if mu >= 1 else True
+    """Exact test of the counting hypothesis mu < w[d] = (t + e*sqrt(d))/2."""
+    return mu < 1 or (2 * mu - ctx.omega_trace) ** 2 < ctx.sqrt_disc_scale ** 2 * ctx.d
 
 
 def norm_ideal_candidates(ctx: FieldContext, mu: int) -> list[IdealBasis]:

@@ -152,17 +152,11 @@ def _candidate(pair: IndexPair, n: int) -> tuple[int, int]:
     return num // (y * y), s
 
 
-def _witness(pair: IndexPair, n: int, ctx: FieldContext) -> QuadInt:
-    """The element n*y + x + y*w[d] in the basis of its own field."""
-    y, x = pair.y, pair.x
-    if pair.j == 1:
-        if not ctx.is_half:
-            raise AssertionError(f"branch j=1 produced d != 1 (mod 4): {ctx.d}")
-        return QuadInt(ctx, n * y + x, y)
-    if ctx.is_half:
-        # n*y + x + y*sqrt(d) = (n*y + x - y) + 2*y*w[d]
-        return QuadInt(ctx, n * y + x - y, 2 * y)
-    return QuadInt(ctx, n * y + x, y)
+def _witness(pair: IndexPair, s: int, ctx: FieldContext) -> QuadInt:
+    """(k*s + k*y*sqrt(d))/2 with k = 2 - j and s from :func:`_candidate`: the
+    norm-mu element in its field.  For j = 1, y and s are odd, so d = 1 (mod 4)."""
+    k = 2 - pair.j
+    return QuadInt.from_half(ctx, k * s, k * pair.y)
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression
         if squarefree_kernel(dval)[1] != 1:
             continue
         ctx = field_context(dval)
-        xi = _witness(pair, n, ctx)
+        xi = _witness(pair, s, ctx)
         if xi.norm() != pair.mu:
             raise AssertionError(f"witness of norm {xi.norm()} != mu at n={n}, d={dval} for {pair}")
         if qi_compare(xi, fundamental_unit(ctx)) <= 0:
@@ -248,9 +242,9 @@ def _roots_mod_p(A: int, B: int, C: int, p: int):
     disc = (b * b - 4 * a * c) % p
     if disc == 0:
         return [-b * inv2a % p]
-    if pow(disc, (p - 1) // 2, p) != 1:  # Euler's criterion
-        return ()
     rt = sqrt_mod_prime(disc, p)
+    if rt is None:
+        return ()
     return [(-b + rt) * inv2a % p, (-b - rt) * inv2a % p]
 
 

@@ -185,6 +185,16 @@ class QuadInt:
             return 2 * self.a + self.b, self.b
         return 2 * self.a, 2 * self.b
 
+    @classmethod
+    def from_half(cls, ctx: FieldContext, u: int, v: int) -> "QuadInt":
+        """(u + v*sqrt(d))/2, the inverse of :meth:`half_coords`: with v = b*e
+        it is (u - b*t)/2 + b*w[d].  ValueError when that is not an integer."""
+        b, r = divmod(v, ctx.sqrt_disc_scale)
+        a2 = u - b * ctx.omega_trace
+        if r or a2 % 2:
+            raise ValueError(f"({u} + {v}*sqrt({ctx.d}))/2 is not an integer of Q(sqrt({ctx.d}))")
+        return cls(ctx, a2 // 2, b)
+
     def sign(self) -> int:
         u, v = self.half_coords()
         return sign_plus_sqrt(u, v, self.ctx.d)

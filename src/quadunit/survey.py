@@ -29,7 +29,7 @@ from .arith import (
     trial_bound,
 )
 from .contfrac import CFExpansion, expand_omega, fundamental_unit, regulator
-from .ideals import principal_basis
+from .ideals import mu_below_omega, principal_basis
 from .progressions import build_progression, pair_of, trace_kernels
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
 
@@ -76,16 +76,8 @@ def _convergent_route_valid(ctx: FieldContext, mu: int) -> bool:
     to D: then every norm-mu ideal is coprime to its conjugate, hence
     reduced, and the reduced principal ideals are exactly the (xi_n).
     """
-    if _below_omega_minus_one(ctx, mu):
-        return True
-    return _below_half_sqrt_disc(ctx, mu) and math.gcd(mu, ctx.discriminant) == 1
-
-
-def _below_omega_minus_one(ctx: FieldContext, mu: int) -> bool:
-    # mu < w[d] - 1, exactly: 2 mu + 1 < sqrt(d), or mu + 1 < sqrt(d)
-    if ctx.is_half:
-        return (2 * mu + 1) ** 2 < ctx.d
-    return (mu + 1) ** 2 < ctx.d
+    return mu_below_omega(ctx, mu + 1) or (  # mu < w[d] - 1
+        _below_half_sqrt_disc(ctx, mu) and math.gcd(mu, ctx.discriminant) == 1)
 
 
 def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
@@ -96,11 +88,11 @@ def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
 def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
     """Elements above 1 with |norm| = mu inside the search bound, by value.
 
-    The search bound covers (1, eps]: candidates satisfy
-    |value - conj| = v*sqrt(d) <= eps + mu, which bounds the w[d]
-    coordinate; cost is O(eps / sqrt(d)).  Elements above eps inside the
-    bound are returned too; :func:`minimal_elements` keeps x <= eps.
-    Raises BudgetError when the bound exceeds 1e12.
+    The search bound covers (1, eps]: each candidate (u + v*sqrt(d))/2
+    has |value - conj| = v*sqrt(d) <= eps + mu, which bounds v; cost is
+    O(eps / sqrt(d)).  Elements above eps inside the bound are returned
+    too; :func:`minimal_elements` keeps x <= eps.  Raises BudgetError when
+    the bound exceeds 1e12.
     """
     eps = fundamental_unit(ctx)
     bound = eps.approx() * 1.001 + mu + 2
@@ -108,24 +100,18 @@ def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
         raise BudgetError(
             f"associate-class scan infeasible for d={ctx.d}: unit too large"
         )
-    t, nw, d = ctx.omega_trace, ctx.omega_norm, ctx.d
-    vmax = int(bound / math.sqrt(d)) + 2
-    bmax = vmax if ctx.is_half else (vmax + 1) // 2 + 1
+    vmax = int(bound / math.sqrt(ctx.d)) + 2
     out = []
-    for b in range(1, bmax + 1):
+    for v in range(1, vmax + 1):
         for target in (mu, -mu):
-            # a^2 + a*b*t + b^2*nw = target, solved exactly in a
-            disc = b * b * t * t - 4 * (b * b * nw - target)
-            if disc < 0 or not is_square(disc):
+            # N((u + v sqrt d)/2) = target, so u^2 = v^2 d + 4 target: never a
+            # square for d != 1 (mod 4) and odd v, so every solution is integral
+            sq = v * v * ctx.d + 4 * target
+            if not is_square(sq):
                 continue
-            r = isqrt(disc)
-            for sgn in (1, -1):
-                num = -b * t + sgn * r
-                if num % 2:
-                    continue
-                xi = QuadInt(ctx, num // 2, b)
-                if xi.norm() != target:
-                    continue
+            r = isqrt(sq)
+            for u in (r, -r):
+                xi = QuadInt.from_half(ctx, u, v)
                 if qi_compare(xi, 1) > 0:
                     out.append(xi)
     return sorted(set(out), key=lambda x: x.approx())
@@ -320,9 +306,9 @@ def ramified_identity_check(d: int, p: int) -> IdentityVerdict:
     """For ramified p with sqrt(d) - 1 > p and d = 2, 3 (mod 4): the square
     of the minimal norm +-p element equals p * eps_d."""
     ctx = field_context(d)
-    if ctx.is_half:
+    if d % 4 == 1:
         return IdentityVerdict(d, p, "hypothesis_not_met", "d = 1 (mod 4)", None, None, None)
-    if not _below_omega_minus_one(ctx, p):
+    if not mu_below_omega(ctx, p + 1):
         return IdentityVerdict(d, p, "hypothesis_not_met", "sqrt(d) - 1 <= p", None, None, None)
     if ctx.discriminant % p:
         return IdentityVerdict(d, p, "hypothesis_not_met", "p unramified", None, None, None)

@@ -41,6 +41,26 @@ def test_unit_command(capsys):
     assert doc["epsilon_text"] == "3480+413*w[71]"
 
 
+def test_unit_beyond_the_int_digit_limit(capsys):
+    # eps of Q(sqrt(100000039)) has coefficients of about 7,790 digits, past
+    # CPython's default int/str limit: main lifts it for its own call only
+    get_digits = getattr(sys, "get_int_max_str_digits", None)
+    before = get_digits() if get_digits else None
+    code, out, err = run_cli("unit", "100000039", capsys=capsys)
+    assert (code, err) == (0, "")
+    if get_digits:
+        assert get_digits() == before
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out)
+        digits = len(str(doc["epsilon"]["a"]))
+    finally:
+        if get_digits:
+            sys.set_int_max_str_digits(before)
+    eps = contfrac.fundamental_unit(quadfield.field_context(100000039))
+    assert doc["epsilon"] == {"a": eps.a, "b": eps.b} and digits > 4300
+
+
 def test_progression_command(capsys):
     code, out, _ = run_cli("progression", "2", "0", "7", "3", "--k-max", "3", capsys=capsys)
     doc = json.loads(out)

@@ -142,6 +142,13 @@ def test_one_residual_certificate():
     assert _uses("_delta_within") == ["contfrac.py.residuals_hold"]
 
 
+def test_integral_basis_stays_in_quadfield():
+    # whether w[d] is (1 + sqrt(d))/2 or sqrt(d) is decided in quadfield
+    # alone: other modules use half coordinates (u + v*sqrt(d))/2, or D, e, t
+    found = [scope for name in ("is_half", "omega_norm") for scope in _uses(name)]
+    assert found and all(scope.startswith("quadfield.py.") for scope in found), found
+
+
 def test_cli_streams_its_output():
     # tables go to stdout or the --output file row by row: cli.py builds no
     # whole output text in a buffer first

@@ -171,6 +171,28 @@ def test_text_roundtrip():
         parse_quadint("nonsense")
 
 
+def test_from_half_inverts_half_coords():
+    # a local generator: the module's rng keeps its stream for the other tests
+    local = random.Random(0x4A1F)
+    for d in (5, 13, 17, 101, 2, 3, 6, 7, 94):
+        ctx = field_context(d)
+        for _ in range(200):
+            x = QuadInt(ctx, local.randrange(-10**9, 10**9), local.randrange(-10**9, 10**9))
+            assert QuadInt.from_half(ctx, *x.half_coords()) == x
+    assert QuadInt.from_half(field_context(5), 1, 1) == QuadInt(field_context(5), 0, 1)  # w[5]
+    assert QuadInt.from_half(field_context(2), 0, 2) == QuadInt(field_context(2), 0, 1)  # w[2]
+
+
+def test_from_half_rejects_non_integers():
+    for d in (2, 3, 5, 13):
+        with pytest.raises(ValueError):
+            QuadInt.from_half(field_context(d), 1, 0)
+    with pytest.raises(ValueError):
+        QuadInt.from_half(field_context(2), 0, 1)
+    with pytest.raises(ValueError):
+        QuadInt.from_half(field_context(13), 1, 2)
+
+
 def test_decimal_approx():
     from quadunit.quadfield import decimal_approx
 

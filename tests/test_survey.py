@@ -62,7 +62,8 @@ def test_minimal_elements_routes_agree():
 def test_hypothesis_bound_helpers():
     # each helper against the inline expressions it replaced and against an
     # exact comparison in the field: mu + 1 < w[d], and 2 mu < e sqrt(d)
-    from quadunit.survey import _below_half_sqrt_disc, _below_omega_minus_one
+    from quadunit.ideals import mu_below_omega
+    from quadunit.survey import _below_half_sqrt_disc
 
     for d in range(2, 3000):
         if not is_squarefree(d):
@@ -71,9 +72,9 @@ def test_hypothesis_bound_helpers():
         omega = QuadInt(ctx, 0, 1)
         for mu in range(1, 61):
             below_omega = (2 * mu + 1) ** 2 < d if ctx.is_half else (mu + 1) ** 2 < d
-            assert _below_omega_minus_one(ctx, mu) == below_omega == (qi_compare(omega, mu + 1) > 0)
+            assert mu_below_omega(ctx, mu + 1) == below_omega == (qi_compare(omega, mu + 1) > 0)
             if not ctx.is_half:  # the ramified check's form
-                assert (not _below_omega_minus_one(ctx, mu)) == ((mu + 1) ** 2 >= d)
+                assert (not mu_below_omega(ctx, mu + 1)) == ((mu + 1) ** 2 >= d)
             below_half = _below_half_sqrt_disc(ctx, mu)
             assert below_half == (4 * mu * mu < ctx.discriminant)
             assert below_half == (sign_plus_sqrt(-2 * mu, ctx.sqrt_disc_scale, d) > 0)

@@ -75,6 +75,7 @@ from .survey import (
     IdentityVerdict,
     MinimalRecord,
     E_mu,
+    e_mu_stream,
     f_mu,
     minimal_elements,
     negative_pell,

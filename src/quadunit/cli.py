@@ -33,7 +33,7 @@ from .progressions import (
     squarefree_flags,
 )
 from .quadfield import decimal_approx, field_context, format_quadint
-from .survey import E_mu, f_mu, negative_pell, rank_correlation, theorem_bound_sweep
+from .survey import e_mu_stream, f_mu, negative_pell, rank_correlation, theorem_bound_sweep
 
 
 ENV_TRIAL_BOUND = "QUADUNIT_FACTOR_BUDGET"
@@ -305,8 +305,8 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
         raise ValueError("--mu applies only to survey e-mu, f-mu and bound, not pell")
     mu = 2 if ns.mu is None else ns.mu
     if ns.kind == "e-mu":
-        rep = E_mu(mu, ns.limit)
-        rows = ((e.trace, e.signed_norm, e.d, e.sqrt_coeff, f"{e.value:.9f}") for e in rep.entries)
+        entries = e_mu_stream(mu, ns.limit)  # checks mu before the header is written
+        rows = ((e.trace, e.signed_norm, e.d, e.sqrt_coeff, f"{e.value:.9f}") for e in entries)
         return _emit(ns, header=("trace", "signed_norm", "d", "sqrt_coeff", "value"), rows=rows)
     if ns.kind == "f-mu":
         rep = f_mu(mu, ns.limit)

@@ -14,8 +14,11 @@ other: the test suite counts E_mu field by field from the first.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .arith import (
     BudgetError,
@@ -121,7 +124,7 @@ def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
 # E_mu: counting minimal elements across all fields
 
 
-@dataclass(frozen=True, slots=True)  # E_mu(mu, x) holds up to 2x of these at once
+@dataclass(frozen=True, slots=True)  # EMuReport holds up to 2x of these at once
 class EMuEntry:
     value: float
     d: int
@@ -145,37 +148,63 @@ class EMuReport:
         return {(e.d, e.trace, e.signed_norm) for e in self.entries}
 
 
-def _unit_map(trace_max: int) -> dict[int, tuple[int, int]]:
-    """d -> (trace, sqrt coeff) of the fundamental unit, for all fields whose
-    fundamental unit has trace <= trace_max.
-
-    Units > 1 of norm +-1 ascend with their trace, so the least trace that
-    :func:`trace_kernels` yields for a radicand, over both norms, belongs to
-    the fundamental unit itself.
-    """
-    eps: dict[int, tuple[int, int]] = {}
-    for sigma in (-1, 1):
-        for m, d, f in trace_kernels(sigma, 0, trace_max):
-            if d not in eps or m < eps[d][0]:
-                eps[d] = (m, f)
-    return eps
-
-
 def E_mu(mu: int, x_bound) -> EMuReport:
     """Count minimal elements of absolute norm mu in (1, x_bound).
+
+    Collects :func:`e_mu_stream`, which says how each candidate is found
+    and decided; a caller that only reads the entries once should read the
+    stream, which never holds them all.
+    """
+    x = Fraction(x_bound)
+    entries = tuple(e_mu_stream(mu, x))
+    return EMuReport(mu, x, entries, len(entries) < 2 * x)
+
+
+def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
+    """The entries of ``E_mu(mu, x_bound)``, in order, as an iterator.
 
     Scans traces and both signed norms, reading each discriminant's
     square-free kernel from :func:`trace_kernels`, and tests minimality
     against a table of small fundamental units (fields absent from the
     table have eps_d beyond x_bound, making every candidate minimal).
-    See :func:`_e_mu_trace` for how each candidate is decided.
+    Entries come sorted by (value, trace, signed_norm), a block of traces
+    at a time: see :func:`_e_mu_trace`.  A bad mu raises ValueError here,
+    before the first entry is asked for.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
-    x = Fraction(x_bound)
-    entries = _e_mu_trace(mu, x)
-    entries.sort(key=lambda e: (e.value, e.trace, e.signed_norm))
-    return EMuReport(mu, x, tuple(entries), len(entries) < 2 * x)
+    return _e_mu_trace(mu, Fraction(x_bound))
+
+
+def _unit_traces(trace_max: int) -> dict[int, int]:
+    """d -> trace m_e of the fundamental unit, for all fields whose
+    fundamental unit has trace <= trace_max.
+
+    Units > 1 of one norm ascend with their trace, so the first trace that
+    :func:`trace_kernels` yields for a radicand belongs to the least unit
+    of that norm.  A field with a unit of norm -1 has its fundamental unit
+    among them, so the norm -1 scan goes first and the norm +1 scan only
+    fills in the fields it left out.
+    """
+    units: dict[int, int] = {}
+    for sigma in (-1, 1):
+        for m, d, _ in trace_kernels(sigma, 0, trace_max):
+            units.setdefault(d, m)
+    return units
+
+
+def _unit_sqrt_coeff(d: int, me: int) -> int:
+    """f_e of eps_d = (m_e + f_e sqrt d)/2, from m_e^2 - f_e^2 d = 4 N(eps_d).
+
+    Norm -1 is tried first: only d = 2 has both m_e^2 + 4 and m_e^2 - 4 of
+    the form f^2 d (m_e = 2: 8 = 2^2 * 2, and 0 with f = 0), and there the
+    unit 1 + sqrt(2) has norm -1 and f_e = 2.
+    """
+    q, r = divmod(me * me + 4, d)
+    fe = isqrt(q)
+    if r or fe * fe != q:
+        fe = isqrt((me * me - 4) // d)
+    return fe
 
 
 def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
@@ -183,9 +212,25 @@ def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
     return sign_plus_sqrt(m * x.denominator - 2 * x.numerator, f * x.denominator, d) < 0
 
 
-def _e_mu_trace(mu: int, x: Fraction) -> list[EMuEntry]:
+# Traces the E_mu stream scans, from both norms, before it emits what is final.
+E_MU_BLOCK = 512
+
+
+def _trace_blocks(scan, start: int, step: int):
+    """Lists of a trace-ascending scan's items, one per block of ``step``
+    traces from ``start``; a block with no items is an empty list."""
+    block, end = [], start + step
+    for item in scan:
+        while item[0] >= end:
+            yield block
+            block, end = [], end + step
+        block.append(item)
+    yield block
+
+
+def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
     """The candidates xi = (m + f sqrt d)/2 of norm sigma = +-mu with
-    1 < xi < x and xi <= eps_d, in scan order.
+    1 < xi < x and xi <= eps_d, sorted by (value, trace, signed_norm).
 
     Each of the three conditions is decided in integers where integers
     can decide it, and by the exact sign of a + b sqrt(d) only inside a
@@ -200,35 +245,56 @@ def _e_mu_trace(mu: int, x: Fraction) -> list[EMuEntry]:
       m > floor(x) - mu take the exact sign.
     - xi <= eps_d: m + mu <= m_e - 1 gives xi < m_e - 1 < eps_d (keep),
       and m - mu >= m_e + 1 gives xi > m_e + 1 > eps_d (drop).  Only the
-      traces between, m_e - mu <= m <= m_e + mu, take the exact sign.
+      traces between, m_e - mu <= m <= m_e + mu, take the exact sign, and
+      only they need f_e (:func:`_unit_sqrt_coeff`); the table holds m_e.
 
     Raw signs on (m, f, d), not qi_compare: this runs for every candidate
     of the trace scan, and a QuadInt per candidate would slow the scan.
+
+    Both norms are scanned together, E_MU_BLOCK traces at a time.  Once
+    every trace below ``end`` is scanned, a candidate still to come has
+    trace m >= end and so value xi > m - mu >= end - mu.  Its float value
+    (m + f*sqrt(d))/2 is off from xi by a few ulps, far below 1 for any
+    feasible x, so it is above end - mu - 1.  Every kept entry whose float
+    value is below end - mu - 1 therefore sorts before all that is still
+    to come, and is emitted; the rest wait, about 2*mu + 2 traces' worth.
+    No two entries share (value, trace, signed_norm): trace and norm fix
+    f^2 d = m^2 - 4 sigma, hence d and f.
     """
     if x <= 1:
-        return []
+        return
     m_max = int(x) + mu + 2
     m_below = int(x) - mu  # m <= m_below: xi < m + mu <= x
-    units = _unit_map(int(x) + 2)
-    out = []
+    units = _unit_traces(int(x) + 2)
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
-    for sigma, m_min in ((mu, 0), (-mu, -mu)):
-        for m, d, f in trace_kernels(sigma, m_min, m_max):
-            if m < 1 and sign_plus_sqrt(m - 2, f, d) <= 0:
-                continue  # not above 1
-            if m > m_below and not _below_bound(m, f, d, x):
-                continue
-            unit = units.get(d)
-            if unit is not None:
-                me, fe = unit
-                if m - mu > me:
-                    continue  # above eps_d
-                # xi <= eps_d  <=>  (m - me) + (f - fe) sqrt(d) <= 0
-                if m + mu >= me and sign_plus_sqrt(m - me, f - fe, d) > 0:
+    scans = [_trace_blocks(trace_kernels(sigma, m_min, m_max), -mu, E_MU_BLOCK)
+             for sigma, m_min in ((mu, 0), (-mu, -mu))]
+    pending = []  # (value, m, sigma, d, f) of kept candidates not yet emitted
+    end = -mu
+    for blocks in zip_longest(*scans, fillvalue=()):
+        end += E_MU_BLOCK
+        for sigma, block in zip((mu, -mu), blocks):
+            for m, d, f in block:
+                if m < 1 and sign_plus_sqrt(m - 2, f, d) <= 0:
+                    continue  # not above 1
+                if m > m_below and not _below_bound(m, f, d, x):
                     continue
-            out.append(EMuEntry((m + f * math.sqrt(d)) / 2.0, d, m, sigma, f))
-    return out
+                me = units.get(d)
+                if me is not None:
+                    if m - mu > me:
+                        continue  # above eps_d
+                    # xi <= eps_d  <=>  (m - me) + (f - fe) sqrt(d) <= 0
+                    if m + mu >= me and sign_plus_sqrt(m - me, f - _unit_sqrt_coeff(d, me), d) > 0:
+                        continue
+                pending.append(((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f))
+        pending.sort()
+        final = bisect_left(pending, (end - mu - 1,))  # value < end - mu - 1
+        for value, m, sigma, d, f in pending[:final]:
+            yield EMuEntry(value, d, m, sigma, f)
+        del pending[:final]
+    for value, m, sigma, d, f in pending:
+        yield EMuEntry(value, d, m, sigma, f)
 
 
 # ---------------------------------------------------------------------------

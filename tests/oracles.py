@@ -281,9 +281,28 @@ def e_mu_fields(mu: int, x_bound) -> list[tuple[int, int, int]]:
     return out
 
 
+def unit_map(trace_max: int) -> dict[int, tuple[int, int]]:
+    """d -> (trace, sqrt coeff) of the fundamental unit, for all fields whose
+    fundamental unit has trace <= trace_max.
+
+    Units > 1 of norm +-1 ascend with their trace, so the least trace that
+    ``trace_kernels`` yields for a radicand, over both norms, belongs to
+    the fundamental unit itself; its sqrt coefficient is read off the scan.
+    """
+    from quadunit.progressions import trace_kernels
+
+    eps: dict[int, tuple[int, int]] = {}
+    for sigma in (-1, 1):
+        for m, d, f in trace_kernels(sigma, 0, trace_max):
+            if d not in eps or m < eps[d][0]:
+                eps[d] = (m, f)
+    return eps
+
+
 def e_mu_consider(mu: int, x_bound) -> list[tuple[int, int, int, int, int]]:
     """(trace, signed norm, d, sqrt coeff, passed) of every candidate of
-    ``E_mu``'s trace scan, in scan order, decided by three exact signs.
+    ``E_mu``'s trace scan, norm +mu then norm -mu, each by ascending
+    trace, decided by three exact signs.
 
     Each candidate xi = (m + f sqrt d)/2 takes the signs in turn, with no
     integer pre-test: 1 < xi, then xi < x, then xi <= eps_d when eps_d is in
@@ -292,12 +311,11 @@ def e_mu_consider(mu: int, x_bound) -> list[tuple[int, int, int, int, int]]:
     """
     from quadunit.progressions import trace_kernels
     from quadunit.quadfield import sign_plus_sqrt
-    from quadunit.survey import _unit_map
 
     x = Fraction(x_bound)
     if x <= 1:
         return []
-    units = _unit_map(int(x) + 2)
+    units = unit_map(int(x) + 2)
     out = []
     for sigma, m_min in ((mu, 0), (-mu, -mu)):
         for m, d, f in trace_kernels(sigma, m_min, int(x) + mu + 2):

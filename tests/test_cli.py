@@ -1,13 +1,13 @@
 import concurrent.futures
 import contextlib
 import errno
+import itertools
 import json
 import os
 import stat
 import subprocess
 import sys
 import threading
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -173,6 +173,10 @@ def test_usage_errors(monkeypatch, capsys):
             cases.append((argv, f"--probe-constant applies only to survey bound, not {kind}"))
     cases.append((("survey", "pell", "--mu", "7", "--limit", "5"),
                   "--mu applies only to survey e-mu, f-mu and bound, not pell"))
+    # e-mu checks mu before its header is written
+    for mu in ("4", "0"):
+        cases.append((("survey", "e-mu", "--mu", mu, "--limit", "10"),
+                      f"mu must be a positive square-free integer, got {mu}"))
     # pairs checks mu as coverage does, also when y_max leaves nothing to scan
     for mu, y_max in (("4", "0"), ("0", "0"), ("4", "3"), ("-12", "5")):
         cases.append((("pairs", mu, "0", y_max), f"mu must be a nonzero square-free integer, got {mu}"))
@@ -288,15 +292,13 @@ def test_output_streams_rows_atomically(tmp_path, monkeypatch, capsys):
         assert os.listdir(tmp_path) == ["out.csv"], fmt  # no temp file left
     # a row that fails to be made leaves the target as whole, but stdout
     # keeps the rows written before it
-    real_e_mu = cli.E_mu
+    real_stream = cli.e_mu_stream
 
-    def failing_e_mu(mu, limit):
-        def entries():
-            yield from real_e_mu(mu, limit).entries[:2]
-            raise RuntimeError("boom")
-        return SimpleNamespace(entries=entries())
+    def failing_stream(mu, limit):
+        yield from itertools.islice(real_stream(mu, limit), 2)
+        raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "E_mu", failing_e_mu)
+    monkeypatch.setattr(cli, "e_mu_stream", failing_stream)
     argv = ("--format", "csv", "survey", "e-mu", "--mu", "2", "--limit", "50")
     assert run_cli("--output", str(target), *argv, capsys=capsys) == (3, "", "internal error: RuntimeError: boom\n")
     assert target.read_bytes() == b"old bytes\n"

@@ -157,10 +157,29 @@ def test_cli_streams_its_output():
 
 
 def test_e_mu_entries_have_slots():
-    # E_mu holds up to 2x entries at once: no per-instance __dict__
+    # the report E_mu collects holds up to 2x entries at once: no
+    # per-instance __dict__
     from quadunit.survey import EMuEntry
 
     assert not hasattr(EMuEntry(1.0, 2, 2, -2, 1), "__dict__")
+
+
+def test_e_mu_keeps_no_unit_map():
+    # the unit table maps d to the trace m_e alone; the (trace, f) map is a
+    # test oracle
+    defined = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+               if isinstance(node, ast.FunctionDef) and node.name == "_unit_map"]
+    assert defined == [] and _uses("_unit_map") == []
+
+
+def test_cli_reads_e_mu_as_a_stream():
+    # survey e-mu writes its rows from e_mu_stream: reading a report's
+    # entries would hold them all before the first row
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if name == "cli.py" and isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert found == []
+    assert "cli.py._cmd_survey" in _uses("e_mu_stream")
+    assert [scope for scope in _uses("E_mu") if scope.startswith("cli.py")] == []
 
 
 def test_library_imports_no_private_names():

@@ -19,7 +19,7 @@ from quadunit.survey import (
     theorem_bound_sweep,
 )
 
-from oracles import e_mu_consider, e_mu_fields, negative_pell_bruteforce
+from oracles import e_mu_consider, e_mu_fields, negative_pell_bruteforce, unit_map
 
 
 def test_minimal_elements_examples():
@@ -117,9 +117,10 @@ def test_e_mu_routes_agree():
 
 def test_e_mu_pre_tests_are_exact(monkeypatch):
     # the integer pre-tests keep exactly the candidates the three exact signs
-    # keep, in the same order, and take an exact sign only inside the
-    # windows of _e_mu_trace: m <= 0 for xi > 1, m > floor(x) - mu for
-    # xi < x, |m - m_e| <= mu for xi <= eps_d
+    # keep, and take an exact sign only inside the windows of _e_mu_trace:
+    # m <= 0 for xi > 1, m > floor(x) - mu for xi < x, |m - m_e| <= mu for
+    # xi <= eps_d.  The stream interleaves the two norms, so both sides are
+    # compared by (trace, signed_norm).
     from quadunit import survey
 
     signs = []
@@ -134,7 +135,7 @@ def test_e_mu_pre_tests_are_exact(monkeypatch):
           1000, Fraction(4001, 3))
     for mu in (1, 2, 3, 5, 7, 997):
         for x in xs:
-            m_below, units = int(x) - mu, survey._unit_map(int(x) + 2)
+            m_below, units = int(x) - mu, unit_map(int(x) + 2)
             candidates = e_mu_consider(mu, x)
             kept = [c[:4] for c in candidates if c[4] == 3]
             window = 0
@@ -148,8 +149,8 @@ def test_e_mu_pre_tests_are_exact(monkeypatch):
                     window += abs(offset) <= mu
                     edges.update({("eps low", offset + mu), ("eps high", offset - mu)})
             signs.clear()
-            got = survey._e_mu_trace(mu, Fraction(x))
-            assert [(e.trace, e.signed_norm, e.d, e.sqrt_coeff) for e in got] == kept, (mu, x)
+            got = [(e.trace, e.signed_norm, e.d, e.sqrt_coeff) for e in survey._e_mu_trace(mu, Fraction(x))]
+            assert sorted(got) == sorted(kept), (mu, x)
             assert len(signs) == window, (mu, x)
             assert E_mu(mu, x).keys() == {(d, m, sigma) for m, sigma, d, _ in kept}, (mu, x)
     # each window's bound was met from both sides
@@ -158,9 +159,7 @@ def test_e_mu_pre_tests_are_exact(monkeypatch):
 
 
 def test_unit_map_matches_fundamental_units():
-    from quadunit.survey import _unit_map
-
-    units = _unit_map(300)
+    units = unit_map(300)
     from quadunit.arith import is_squarefree
 
     seen = 0
@@ -171,6 +170,49 @@ def test_unit_map_matches_fundamental_units():
         assert fundamental_unit(field_context(d)).half_coords() == (m, f), d
         seen += 1
     assert seen > 100
+
+
+def test_unit_traces_match_the_unit_map():
+    # the library keeps only d -> m_e; f_e comes back from m_e^2 -+ 4 = f_e^2 d
+    for trace_max in (300, 3000):
+        oracle = unit_map(trace_max)
+        table = survey._unit_traces(trace_max)
+        assert table == {d: m for d, (m, _) in oracle.items()}, trace_max
+        for d, (m, f) in oracle.items():  # every d, so every d a window reaches
+            assert survey._unit_sqrt_coeff(d, m) == f, d
+    # 1 + sqrt(2): m_e^2 - 4 = 0 as well, but the unit has norm -1 and f_e = 2
+    assert (table[2], survey._unit_sqrt_coeff(2, 2)) == (2, 2)
+    assert (table[5], survey._unit_sqrt_coeff(5, 1)) == (1, 1)  # (1 + sqrt(5))/2
+
+
+def test_e_mu_stream_matches_sorted_oracle():
+    # the block-sorted stream is the oracle's kept candidates under one
+    # full sort by (value, trace, signed_norm)
+    xs = (Fraction(11, 10), 2, Fraction(7, 2), 100, 1000, Fraction(4001, 3))
+    cases = [(mu, x) for mu in (1, 2, 3, 5, 7, 997) for x in xs] + [(2, 2 * 10**4), (3, 2 * 10**4)]
+    for mu, x in cases:
+        kept = [((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f)
+                for m, sigma, d, f, passed in e_mu_consider(mu, x) if passed == 3]
+        got = [(e.value, e.trace, e.signed_norm, e.d, e.sqrt_coeff) for e in survey.e_mu_stream(mu, x)]
+        assert got == sorted(kept), (mu, x)
+
+
+def test_e_mu_stream_holds_no_whole_list():
+    # reading the stream holds a block of entries and the m_e table, not
+    # every entry (E_mu's report does) or a tuple per field
+    import tracemalloc
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: sum(1 for _ in survey.e_mu_stream(3, 10**4)))
+    collected = peak(lambda: E_mu(3, 10**4))
+    assert streamed < 0.6 * collected, (streamed, collected)
 
 
 def test_e_mu_upper_bound():

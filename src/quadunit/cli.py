@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import islice
 
 from .arith import DEFAULT_TRIAL_BOUND, BudgetError, factor_budget
 from .contfrac import expand_omega, fundamental_unit, regulator, residuals_hold
@@ -224,7 +225,8 @@ def _cmd_cf(ns: argparse.Namespace) -> int:
         "d": ctx.d,
         "a0": exp.a0,
         "period": exp.l,
-        "quotients": [exp.partial_quotient(n) for n in range(1, exp.l + 1)],
+        # a_1 .. a_{l-1} from the period, then a_l = 2 a_0 - t
+        "quotients": [a for a, _, _, _ in islice(exp.period(), 1, None)] + [2 * exp.a0 - ctx.omega_trace],
         "epsilon": {"a": eps.a, "b": eps.b},
         "norm_epsilon": eps.norm(),
         "epsilon_text": format_quadint(eps),

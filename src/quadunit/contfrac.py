@@ -41,7 +41,9 @@ palindromy/determinant checks up to 2l stay cheap; the absolute norms
 nu_n = |N(xi_n)| are read off the (P, Q) states (see CFExpansion.nu).
 
 :func:`residuals_hold` decides the residual certificate of one period in
-exact integers; :func:`_delta_within` is its delta test.
+exact integers, reading the period in order through CFExpansion.period;
+:func:`_delta_within` is its exact delta test where the quick accept does
+not decide.
 """
 
 from __future__ import annotations
@@ -156,6 +158,20 @@ class CFExpansion:
         i = (n - 1) % l + 1  # i = n (mod l), 1 <= i <= l
         return (self._P[i], self._Q[i]) if i <= self._j else (self._P[l + 1 - i], self._Q[l - i])
 
+    def period(self):
+        """(a_n, P_{n+1}, Q_{n+1}, nu_n) for n = 0 .. l - 1, in order.
+
+        The same data as partial_quotient(n), state(n + 1) and nu(n), read
+        straight from the half walk's tuples: for n < j they are the walk's
+        own a_n, P_{n+1}, Q_{n+1}; past the midpoint, n = l - m for
+        m = k .. 1 (k = l - j) gives a_n = a_m, P_{n+1} = P_m and
+        Q_{n+1} = Q_{m-1}.  nu_n = e Q_{n+1} / 2 as in :meth:`nu`.
+        """
+        a, P, Q, e = self._a, self._P, self._Q, self._e
+        k = self.l - self._j
+        rows = chain(zip(a, P[1:], Q[1:]), zip(a[k:0:-1], P[k:0:-1], reversed(Q[:k])))
+        return ((a_n, P_n, Q_n, e * Q_n // 2) for a_n, P_n, Q_n in rows)
+
     def _extend(self, n: int) -> None:
         while len(self._p) <= n:
             k = len(self._p)
@@ -268,52 +284,67 @@ def residuals_hold(exp: CFExpansion) -> bool:
         -m < U + V sqrt(d) < m,   U = (nu - e Q) d q_n^2 e,
         V = (P q_n + Q q_{n-1}) q_n e nu,   m = 4 Q nu,
 
-    which :func:`_delta_within` decides in integers.  nu_n comes from the
-    state (see :meth:`CFExpansion.nu`), and q_{n-1}, q_n are carried in two
-    locals instead of the expansion's convergent lists.  Each index costs
-    about two squarings of q_n-size integers, q_n^2 and
-    (P q_n + Q q_{n-1})^2, and no operand reaches the size of q_n^4; over
-    the period the cost still grows about as l^2 in bit operations, and
-    MAX_CF_STEPS does not bound it.
+    which :func:`_delta_within` decides exactly.  U and V share the factor
+    g = e q_n; with c = nu - e Q and w = P q_n + Q q_{n-1} the test reads
+    |g t| < m for t = c d q_n + w nu sqrt(d).  In the usual case c < 0 < w
+    the conjugate c d q_n - w nu sqrt(d) is negative, and t times it is
+    d N1 with N1 = c^2 d q_n^2 - w^2 nu^2.  Multiplying by the conjugate,
+    |g t| < m becomes e q_n d |N1| < -m c d q_n + m w nu sqrt(d), which
+    holds at once when -m c >= e |N1|.  On the data of a true expansion
+    |N1| = Q^2 nu whatever the size of q_n, and -m c = 2 e |N1|, so this
+    quick accept decides.  residuals_hold takes it where c < 0 < P and
+    q_{n-1} >= 0, which give w > 0 without computing w; any other index
+    falls back to _delta_within.
+
+    N1 needs no q_n-size squaring.  With S_n = q_n^2 and X_n = q_n q_{n-1},
+    q_n = a_n q_{n-1} + q_{n-2} gives
+
+        X_n = a_n S_{n-1} + X_{n-1},
+        S_n = q_n (a_n q_{n-1} + q_{n-2}) = a_n X_n + a_n X_{n-1} + S_{n-2},
+
+    from S_0 = 1, X_0 = S_{-1} = 0 (q_{-1} = 0, q_0 = 1), and
+    w^2 = P^2 S_n + 2 P Q X_n + Q^2 S_{n-1}, so
+
+        N1 = (c^2 d - nu^2 P^2) S_n - nu^2 Q (2 P X_n + Q S_{n-1}),
+
+    the same integer as c^2 d q_n^2 - w^2 nu^2.  Each index then costs a
+    few products of a small integer by a q_n-size one, not two squarings of
+    q_n-size integers, and reads (a_n, P, Q, nu_n) in order from
+    :meth:`CFExpansion.period`.  The period still costs about l times the
+    size of q_l in bit operations, which MAX_CF_STEPS bounds only through l.
     """
-    ctx = exp.ctx
-    d = ctx.d
-    e = ctx.sqrt_disc_scale
-    P, Q = exp.state(1)
-    nu = exp.nu(0)
+    d = exp.ctx.d
+    e = exp.ctx.sqrt_disc_scale
+    rows = exp.period()
+    _, P, Q, nu = next(rows)
     if sign_plus_sqrt(nu * P, nu - Q * e, d) >= 0:
         return False
     qm1, qn = 0, 1  # q_{n-1}, q_n at n = 0
-    for n in range(1, exp.l):
-        qm1, qn = qn, exp.partial_quotient(n) * qn + qm1
-        P, Q = exp.state(n + 1)
-        if not _delta_within(d, e, exp.nu(n), P, Q, qn, qm1, qn * qn):
+    S1, S, X = 0, 1, 0  # S_{n-1}, S_n, X_n at n = 0
+    for a, P, Q, nu in rows:
+        qm1, qn = qn, a * qn + qm1
+        Xn = a * S + X
+        S1, S, X = S, a * (Xn + X) + S1, Xn
+        c = nu - e * Q
+        if c < 0 < P and qm1 >= 0:  # then w > 0, as Q, q_n > 0
+            nu2 = nu * nu
+            n1 = (c * c * d - nu2 * P * P) * S - nu2 * Q * (2 * P * X + Q * S1)
+            if -4 * Q * nu * c >= e * abs(n1):
+                continue
+        if not _delta_within(d, e, nu, P, Q, qn, qm1):
             return False
     return True
 
 
-def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int, q2: int) -> bool:
+def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int) -> bool:
     """-m < U + V sqrt(d) < m, exactly: the delta test of :func:`residuals_hold`.
 
-    Needs Q, nu, qn > 0 and q2 = qn^2.  U and V share the factor g = e q_n,
-    so with u = c d q_n, v = w nu, c = nu - e Q and w = P q_n + Q q_{n-1}
-    the test reads |g t| < m for t = u + v sqrt(d).  In the usual case
-    u < 0 < v (c < 0 < w), the conjugate u - v sqrt(d) is negative and t
-    times it is
-    N = u^2 - v^2 d = d N1 with N1 = c^2 d q_n^2 - w^2 nu^2.
-    Then |g t| < m becomes g |N| < -m u + m v sqrt(d); it holds at once when
-    -m u >= g |N|, that is -m c >= e |N1|, and is one exact sign otherwise.
-    On the data of a true expansion N1 is small, |N1| = Q^2 nu whatever the
-    size of q_n, and -m c = 2 e |N1|, so the quick test decides.
+    Needs Q, nu, qn > 0.  Two exact signs; residuals_hold calls it only
+    where its quick accept does not decide.
     """
-    c = nu - e * Q
-    w = P * qn + Q * qm1
+    U = e * (nu - e * Q) * d * qn * qn
+    V = e * qn * (P * qn + Q * qm1) * nu
     m = 4 * Q * nu
-    if c < 0 < w:
-        n1 = abs(c * c * d * q2 - w * w * nu * nu)
-        return -m * c >= e * n1 or sign_plus_sqrt(-(m * c + e * n1) * d * qn, m * w * nu, d) > 0
-    U = e * c * d * q2
-    V = e * qn * w * nu
     return sign_plus_sqrt(U - m, V, d) < 0 and sign_plus_sqrt(U + m, V, d) > 0
 
 

@@ -63,7 +63,7 @@ def minimal_elements(ctx: FieldContext, mu: int) -> list[MinimalRecord]:
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
     if _convergent_route_valid(ctx, mu):
         exp = expand_omega(ctx)
-        found = [exp.xi(n) for n in range(exp.l) if exp.nu(n) == mu]
+        found = [exp.xi(n) for n, (_, _, _, nu) in enumerate(exp.period()) if nu == mu]
     else:
         found = _minimal_by_scan(ctx, mu)
     eps = fundamental_unit(ctx)

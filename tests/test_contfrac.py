@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -164,6 +165,21 @@ def test_negative_indices_raise():
         e.state(0)
 
 
+def _accessor_period(e):
+    return [(e.partial_quotient(n), *e.state(n + 1), e.nu(n)) for n in range(e.l)]
+
+
+def test_period_reader_matches_accessors():
+    # the slice edge cases first: no mirrored part (k = 0) at l = 1 and l = 2
+    for d, rows in [(2, [(1, 1, 1, 1)]), (5, [(1, 1, 2, 1)]), (3, [(1, 1, 2, 2), (1, 1, 1, 1)])]:
+        e = CFExpansion(field_context(d))
+        assert list(e.period()) == _accessor_period(e) == rows, d
+    flags = squarefree_integers_upto(3000)
+    for d in [d for d in range(2, 3000) if flags[d]] + [1000099, 9999991]:
+        e = CFExpansion(field_context(d))
+        assert list(e.period()) == _accessor_period(e), d
+
+
 def test_convergent_determinant():
     for d in SQUAREFREE[:60]:
         e = expand_omega(field_context(d))
@@ -314,20 +330,16 @@ def test_nu_from_state_and_one_pass_verdict_large(d):
 
 
 def _corrupted(d, kind, k):
-    """A fresh expansion of w[d] with one datum at index k made wrong."""
+    """A fresh expansion of w[d] with one datum of period element k made wrong."""
     e = CFExpansion(field_context(d))
-    if kind in ("P", "Q", "P_big"):  # the state of alpha_{k+1}, in every period
-        true_state = e.state
-        bump = {"P": lambda P, Q: (P + 1, Q), "Q": lambda P, Q: (P, Q + 2),
-                # P > sqrt(d): at k = 0 only the alpha test of n = 0 sees it
-                "P_big": lambda P, Q: (e.ctx.sqrt_floor + 1, Q)}[kind]
-        e.state = lambda n: bump(*true_state(n)) if (n - 1) % e.l == k else true_state(n)
-    elif kind == "a":  # a_k, the last quotient of q_k, in every period
-        true_a = e.partial_quotient
-        e.partial_quotient = lambda n: true_a(n) + (1 if n >= 1 and (n - 1) % e.l == k - 1 else 0)
-    else:  # nu off by one at index k only
-        true_nu = e.nu
-        e.nu = lambda n: true_nu(n) + (1 if n == k else 0)
+    rows = list(e.period())
+    a, P, Q, nu = rows[k]
+    rows[k] = {"P": (a, P + 1, Q, nu), "Q": (a, P, Q + 2, nu),
+               # P > sqrt(d): at k = 0 only the alpha test of n = 0 sees it
+               "P_big": (a, e.ctx.sqrt_floor + 1, Q, nu),
+               "a": (a + 1, P, Q, nu),  # a_k, the last quotient of q_k
+               "nu": (a, P, Q, nu + 1)}[kind]
+    e.period = lambda: iter(rows)
     return e
 
 
@@ -345,14 +357,58 @@ def test_corrupted_expansion_fails_certificate(d):
     assert residuals_hold(expand_omega(field_context(d))) is True
 
 
+def _grid():
+    return itertools.product((2, 3, 5), (1, 2), range(1, 5), range(-2, 3), range(1, 4),
+                             range(1, 4), range(-2, 3))
+
+
 def test_delta_within_small_grid():
     # all small inputs, true to the relation or not: they reach both verdicts
-    # of the quick accept's exact fallback and of the branch for c >= 0 or w <= 0
-    grid = itertools.product((2, 3, 5), (1, 2), range(1, 5), range(-2, 3), range(1, 4),
-                             range(1, 4), range(-2, 3))
-    for d, e, nu, P, Q, qn, qm1 in grid:
-        args = (d, e, nu, P, Q, qn, qm1)
-        assert contfrac._delta_within(*args, qn * qn) == fraction_delta_within(*args), args
+    # of the exact test
+    verdicts = set()
+    for args in _grid():
+        verdict = contfrac._delta_within(*args)
+        assert verdict == fraction_delta_within(*args), args
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def _quotients_to(pairs):
+    """{(q_n, q_{n-1}): a_1 .. a_n} reaching each pair from q_{-1} = 0, q_0 = 1."""
+    found = {}
+    for length in (1, 2, 3):
+        for quotients in itertools.product(range(-3, 4), repeat=length):
+            qm1, qn = 0, 1
+            for a in quotients:
+                qm1, qn = qn, a * qn + qm1
+            found.setdefault((qn, qm1), quotients)
+    return {pair: found[pair] for pair in pairs}
+
+
+def test_quick_accept_never_accepts_where_the_oracle_rejects(monkeypatch):
+    # residuals_hold on a stub period whose last index carries a grid point,
+    # with the exact fallback rejecting that point: it holds only where the
+    # inline quick accept took it.  Consecutive q_n are coprime (q_n p_{n-1}
+    # - q_{n-1} p_n = +-1), so the grid's coprime (q_n, q_{n-1}) are every
+    # pair the certificate can meet; the stub reaches each through a_1 .. a_n.
+    routes = _quotients_to({(qn, qm1) for qn in range(1, 4) for qm1 in range(-2, 3)
+                            if math.gcd(qn, qm1) == 1})
+    target = None
+    monkeypatch.setattr(contfrac, "_delta_within", lambda *args: args != target)
+    taken = left = 0
+    for d, e, nu, P, Q, qn, qm1 in _grid():
+        if math.gcd(qn, qm1) != 1:
+            continue
+        target = (d, e, nu, P, Q, qn, qm1)
+        # alpha_1 < sqrt(D)/nu_0 holds at (P, Q, nu) = (-1, 1, 1) for every d and e
+        rows = [(1, -1, 1, 1)] + [(a, P, Q, nu) for a in routes[qn, qm1]]
+        stub = SimpleNamespace(ctx=SimpleNamespace(d=d, sqrt_disc_scale=e), period=lambda: iter(rows))
+        if residuals_hold(stub):
+            assert fraction_delta_within(*target), target
+            taken += 1
+        elif fraction_delta_within(*target):
+            left += 1  # true, but left to the exact fallback
+    assert taken and left
 
 
 def test_qi_compare_huge_unit_boundaries():

@@ -142,6 +142,19 @@ def test_one_residual_certificate():
     assert _uses("_delta_within") == ["contfrac.py.residuals_hold"]
 
 
+def test_period_read_in_order():
+    # the certificate and cf's quotient list read the period once, in order,
+    # through CFExpansion.period: no per-index accessor call
+    accessors = {"state", "partial_quotient", "nu"}
+    scopes = {("contfrac.py", "residuals_hold"), ("cli.py", "_cmd_cf")}
+    functions = [(name, fn) for name, tree in _library_trees() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and (name, fn.name) in scopes]
+    found = [f"{name}:{node.lineno}" for name, fn in functions for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in accessors]
+    assert len(functions) == 2 and found == [], (functions, found)
+
+
 def test_integral_basis_stays_in_quadfield():
     # whether w[d] is (1 + sqrt(d))/2 or sqrt(d) is decided in quadfield
     # alone: other modules use half coordinates (u + v*sqrt(d))/2, or D, e, t

@@ -110,7 +110,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (valid below 3.317e24; raises beyond)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:

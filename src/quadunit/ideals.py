@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_squarefree, jacobi
+from .arith import factorize, is_squarefree, jacobi, mod_inverse
 from .contfrac import CFExpansion, QuadIrr, expand_omega, is_reduced, total_quotient
 from .quadfield import (
     FieldContext,
@@ -99,7 +99,12 @@ def principal_basis(xi: QuadInt) -> IdealBasis:
     ctx = xi.ctx
     u1, v1 = _omega_coords(xi)
     u2, v2 = _omega_coords(omega_ideal(ctx) * xi)
-    g, s, t = _ext_gcd(v1, v2)
+    g = math.gcd(v1, v2)  # = s*v1 + t*v2
+    if v2:
+        s = mod_inverse(v1 // g, abs(v2) // g)
+        t = (g - s * v1) // v2
+    else:  # omega*xi is rational, e.g. xi = conj(omega)
+        s, t = v1 // g, 0
     b0 = s * u1 + t * u2
     det = u1 * v2 - u2 * v1
     a = abs(det) // g
@@ -107,21 +112,6 @@ def principal_basis(xi: QuadInt) -> IdealBasis:
     if basis.norm() != abs(xi.norm()):
         raise AssertionError(f"norm mismatch for principal basis of {xi}")
     return basis
-
-
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = s*x + t*y > 0 (x, y not both zero)."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def alpha_of_ideal(basis: IdealBasis) -> QuadIrr:

@@ -1,17 +1,24 @@
 """Quadratic progressions of radicands representing a fixed norm mu.
 
-An index pair (y, x) with 0 <= x < y, gcd(x, y) = 1 and x^2 = mu (mod y)
-seeds an arithmetic progression of parameters n (unique mod y~, where
-y~ = y/2 for even y, else y) such that
+An index pair (y, x) with 0 <= x < y, gcd(x, y) = 1 and x^2 = mu (mod y),
+in branch j = 0 or j = 1 (y odd), seeds one quadratic integer per
+parameter n >= 0, written in half coordinates:
 
-    d(n) = n^2 + (2x/y) n + (x^2 - mu)/y^2            (branch j = 0)
-    ((2n+1) y + 2x)^2 - y^2 d = 4 mu                  (branch j = 1, y odd)
+    xi(n) = (u + v sqrt(d))/2,    v = (2 - j) y,    u = 2x + (2n + j) y.
 
-are integers, and the element n*y + x + y*w[d] of Q(sqrt(d(n))) has norm
-exactly mu.  The canonical starting radicand t is the smallest square-free
-d(n) >= 2 whose witness element does not exceed the fundamental unit;
-square-free candidates that fail that comparison are kept in an explicit
-exceptions list, never dropped.
+For j = 0 this is xi = (n y + x) + y sqrt(d); for j = 1 it is
+((2n + 1) y + 2x + y sqrt(d))/2.  Both branches obey one identity,
+
+    N(xi) = (u^2 - v^2 d)/4 = mu    <=>    d(n) = (u^2 - 4 mu)/v^2,
+
+so xi(n) has norm exactly mu in Q(sqrt(d(n))) whenever d(n) is an
+integer.  The n with d(n) integral form one residue class mod y~ (y~ = y/2
+for even y, else y; see :func:`solve_n0`).  For j = 0, u is even and xi
+lies in Z[sqrt(d)]; for j = 1, u and v are odd, so d = 1 (mod 4) and xi is
+again an integer of its field.  The canonical starting radicand t is the
+smallest square-free d(n) >= 2 whose witness xi(n) does not exceed the
+fundamental unit; square-free candidates that fail that comparison are
+kept in an explicit exceptions list, never dropped.
 
 The module also houses the square-free sieve over the values of a
 quadratic polynomial (exact: the primes up to the cube root of the value
@@ -98,8 +105,8 @@ def index_pairs(mu: int, j: int, y_max: int) -> list[IndexPair]:
     for y in range(1, y_max + 1):
         if j == 1 and y % 2 == 0:
             continue
-        modulus = 2 * y if y % 2 == 0 else y
-        for x in range(y) if y > 1 else (0,):
+        modulus = y * math.gcd(2, y)
+        for x in range(y):
             if math.gcd(x, y) == 1 and (x * x - mu) % modulus == 0:
                 out.append(IndexPair(mu, j, y, x))
     return out
@@ -108,55 +115,53 @@ def index_pairs(mu: int, j: int, y_max: int) -> list[IndexPair]:
 def solve_n0(pair: IndexPair) -> tuple[int, int]:
     """The unique residue class (n0, y~) of admissible parameters n.
 
-    For even y the defining congruence is soluble iff x^2 = mu (mod 2y);
-    pairs failing that admit no progression and raise ValueError.
+    With m = 2n + j and k = 2 - j, u = 2x + m y gives
+    u^2 - 4 mu = 4 (x^2 - mu) + 4 x m y + m^2 y^2, and d(n) is integral iff
+    k^2 y^2 divides it.  For j = 0 (m = 2n, k = 2) that is
+    y^2 | (x^2 - mu) + x m y; for j = 1 (k = 1, y odd, so 4 is a unit
+    mod y) it is y^2 | 4 ((x^2 - mu) + x m y).  In both branches, as
+    y | x^2 - mu:
+
+        x m = (mu - x^2)/y (mod y).
+
+    gcd(x, y) = 1 and x^2 = mu make mu a unit mod y with x^-1 = x mu^-1,
+    so m = r := x mu^-1 (mu - x^2)/y (mod y), and 2n = r - j (mod y).
+    With g = gcd(2, y) this is soluble iff g | r - j, and then
+    n = (r - j)/g * (2/g)^-1 (mod y/g).  Only even y (so j = 0) can fail:
+    x is then odd and r is even iff x^2 = mu (mod 2y); pairs failing that
+    admit no progression and raise ValueError.
     """
-    mu, y, x = pair.mu, pair.y, pair.x
-    if y == 1:
-        return 0, 1
-    m = (mu - x * x) // y
-    rhs = m % y * (x % y) % y * mod_inverse(mu % y, y) % y
-    if pair.j == 1:
-        # (2n+1) x y = mu - x^2 (mod y^2), y odd
-        n0 = (rhs - 1) * mod_inverse(2, y) % y
-        modulus = y
-    elif y % 2 == 1:
-        n0 = rhs * mod_inverse(2, y) % y
-        modulus = y
-    else:
-        if rhs % 2:
-            raise ValueError(
-                f"pair (y={y}, x={x}) admits no progression: x^2 != mu (mod 2y)"
-            )
-        modulus = y // 2
-        n0 = (rhs // 2) % modulus
+    mu, j, y, x = pair.mu, pair.j, pair.y, pair.x
+    r = x * mod_inverse(mu, y) % y * ((mu - x * x) // y) % y
+    g = math.gcd(2, y)
+    if (r - j) % g:
+        raise ValueError(
+            f"pair (y={y}, x={x}) admits no progression: x^2 != mu (mod 2y)"
+        )
+    modulus = y // g
+    n0 = (r - j) // g * mod_inverse(2 // g, modulus) % modulus
     _candidate(pair, n0)  # checks the norm identity at n0
     return n0, modulus
 
 
 def _candidate(pair: IndexPair, n: int) -> tuple[int, int]:
-    """(d(n), s(n)) where s is the integer square root datum at n.
+    """(d(n), u(n)): the radicand (u^2 - 4 mu)/v^2 and the u of xi(n).
 
-    d(n) is integral exactly when N(n*y + x + y*w[d(n)]) = mu holds as an
-    integer identity; AssertionError (also under ``python -O``) otherwise.
+    d(n) is integral exactly when N(xi(n)) = mu holds as an integer
+    identity; AssertionError (also under ``python -O``) otherwise.
     """
-    mu, y, x = pair.mu, pair.y, pair.x
-    if pair.j == 0:
-        s = n * y + x
-        num = s * s - mu
-    else:
-        s = (2 * n + 1) * y + 2 * x
-        num = s * s - 4 * mu
-    if num % (y * y):
+    v = (2 - pair.j) * pair.y
+    u = 2 * pair.x + (2 * n + pair.j) * pair.y
+    num = u * u - 4 * pair.mu
+    if num % (v * v):
         raise AssertionError(f"non-integral candidate at n={n} for {pair}")
-    return num // (y * y), s
+    return num // (v * v), u
 
 
-def _witness(pair: IndexPair, s: int, ctx: FieldContext) -> QuadInt:
-    """(k*s + k*y*sqrt(d))/2 with k = 2 - j and s from :func:`_candidate`: the
-    norm-mu element in its field.  For j = 1, y and s are odd, so d = 1 (mod 4)."""
-    k = 2 - pair.j
-    return QuadInt.from_half(ctx, k * s, k * pair.y)
+def _witness(pair: IndexPair, u: int, ctx: FieldContext) -> QuadInt:
+    """xi = (u + v sqrt(d))/2, v = (2 - j) y, with u from :func:`_candidate`:
+    the norm-mu element in its field."""
+    return QuadInt.from_half(ctx, u, (2 - pair.j) * pair.y)
 
 
 @dataclass(frozen=True)
@@ -168,19 +173,23 @@ class Progression:
     modulus: int
     n_start: int
     t: int
-    s: int
+    s: int  # u/(2 - j) at n_start: n y + x for j = 0, u for j = 1
     exceptions: tuple[int, ...]
 
     def coefficients(self) -> tuple[int, int, int]:
-        """(A, B, C) with element(k) = A k^2 + B k + C."""
-        pair = self.pair
-        if pair.j == 1:
-            return 4 * pair.y * pair.y, 4 * self.s, self.t
-        yt = pair.ytilde
-        step = 2 * yt * self.s
-        if step % pair.y:
+        """(A, B, C) with element(k) = A k^2 + B k + C.
+
+        Step k moves n by M = modulus and u by 2 M y.  With c = 2 - j, so
+        v = c y, and s = u/c at n_start:
+
+            d = ((c s + 2 M y k)^2 - 4 mu)/(c y)^2
+              = (2M/c)^2 k^2 + (4 M s/(c y)) k + t.
+        """
+        c, M = 2 - self.pair.j, self.modulus
+        B, r = divmod(4 * M * self.s, c * self.pair.y)
+        if r:
             raise AssertionError(f"non-integral step for {self}")
-        return yt * yt, step // pair.y, self.t
+        return (2 * M // c) ** 2, B, self.t
 
     def index(self, n: int) -> int:
         """The k with n = n_start + k * modulus; AssertionError off the grid."""
@@ -208,17 +217,17 @@ def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression
     exceptions = []
     for step in range(scan_limit):
         n = n0 + step * modulus
-        dval, s = _candidate(pair, n)
+        dval, u = _candidate(pair, n)
         if dval < 2:
             continue
         if squarefree_kernel(dval)[1] != 1:
             continue
         ctx = field_context(dval)
-        xi = _witness(pair, s, ctx)
+        xi = _witness(pair, u, ctx)
         if xi.norm() != pair.mu:
             raise AssertionError(f"witness of norm {xi.norm()} != mu at n={n}, d={dval} for {pair}")
         if qi_compare(xi, fundamental_unit(ctx)) <= 0:
-            return Progression(pair, n0, modulus, n, dval, s, tuple(exceptions))
+            return Progression(pair, n0, modulus, n, dval, u // (2 - pair.j), tuple(exceptions))
         exceptions.append(dval)
     raise ScanBudgetError(
         f"phi not found within budget: {scan_limit} candidates scanned for {pair}"
@@ -465,25 +474,19 @@ class CoverageReport:
     rows: tuple[WitnessStatus, ...]
 
 
-def pair_of(mu: int, j: int, y: int, s: int) -> tuple[IndexPair, int] | None:
-    """The index pair and parameter n of an element of norm mu, or None.
+def pair_of(mu: int, u: int, v: int) -> tuple[IndexPair, int] | None:
+    """The index pair and parameter n of xi = (u + v sqrt(d))/2, or None.
 
-    The element is s + y*sqrt(d) for j = 0, with s = n y + x, and
-    (s + y*sqrt(d))/2 for j = 1 (y odd), with s = (2n+1) y + 2x.  None
-    when s falls on no admissible (x, n): gcd(x, y) > 1 or n < 0.
+    xi has norm mu and v >= 1.  v = (2 - j) y fixes the branch j = v mod 2
+    and y; then u = 2x + (2n + j) y gives h = (u - j y)/2 = n y + x, so
+    x = h mod y and n = h div y.  None when u - j y is odd or (x, n) is
+    not admissible: gcd(x, y) > 1 or n < 0.
     """
-    if j == 0:
-        x = s % y
-        rem = s - x
-    else:
-        if y % 2 == 0:
-            return None
-        x = s * mod_inverse(2, y) % y if y > 1 else 0
-        rem = s - 2 * x - y  # 2 n y
-    if rem < 0 or math.gcd(x, y) != 1:
-        return None
-    n, r = divmod(rem, y * (j + 1))
-    if r:
+    j = v % 2
+    y = v // (2 - j)
+    h, odd = divmod(u - j * y, 2)
+    n, x = divmod(h, y)
+    if odd or n < 0 or math.gcd(x, y) != 1:
         return None
     return IndexPair(mu, j, y, x), n
 
@@ -491,15 +494,15 @@ def pair_of(mu: int, j: int, y: int, s: int) -> tuple[IndexPair, int] | None:
 def _pairs_containing(mu: int, d: int, y_max: int):
     """Index pairs whose progression grid passes through radicand d.
 
-    Yields (pair, n): branch 0 needs y^2 d + mu to be a square s^2, branch 1
-    (d = 1 mod 4 only) needs y^2 d + 4 mu = s^2; :func:`pair_of` places s.
+    Yields (pair, n) for each v = (2 - j) y with y <= y_max and
+    v^2 d + 4 mu = u^2 a square: branch 0 (even v) first, then branch 1
+    (odd v), which only d = 1 (mod 4) admits; :func:`pair_of` places u.
     """
-    branches = ((0, mu), (1, 4 * mu)) if d % 4 == 1 else ((0, mu),)
-    for j, norm in branches:
-        for y in range(1, y_max + 1, j + 1):
-            val = y * y * d + norm
+    for j in (0, 1) if d % 4 == 1 else (0,):
+        for v in range(2 - j, (2 - j) * y_max + 1, 2):
+            val = v * v * d + 4 * mu
             if val >= 0 and is_square(val):
-                found = pair_of(mu, j, y, isqrt(val))
+                found = pair_of(mu, isqrt(val), v)
                 if found is not None:
                     yield found
 

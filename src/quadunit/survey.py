@@ -574,9 +574,7 @@ def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
 def _assert_unit_progression_membership(ctx: FieldContext, eps: QuadInt) -> None:
     """Re-derive d from the mu = -1 progression of the unit's index pair."""
     d = ctx.d
-    u, v = eps.half_coords()  # eps = (u + v sqrt(d))/2, u = v (mod 2)
-    j = v % 2  # j = 0: eps = u/2 + (v/2) sqrt(d) lies in Z[sqrt(d)]
-    found = pair_of(-1, j, v, u) if j else pair_of(-1, j, v // 2, u // 2)
+    found = pair_of(-1, *eps.half_coords())
     if found is None:
         raise AssertionError(f"unit of d={d} has no index pair")
     pair, n = found

@@ -22,7 +22,7 @@ from quadunit.ideals import (
 )
 from quadunit.quadfield import QuadInt, field_context
 
-from oracles import conjugate_coprime_bruteforce, norm_nu
+from oracles import _hnf_rows, conjugate_coprime_bruteforce, norm_nu
 
 rng = random.Random(0xA11CE)
 
@@ -53,13 +53,18 @@ def test_principal_basis_examples():
         principal_basis(QuadInt(c2, 0, 0))
 
 
-def test_principal_basis_idempotent_and_norm():
-    for _ in range(300):
-        d = rng.choice(SQUAREFREE)
-        ctx = field_context(d)
+def _random_generators(draws=300):
+    """xi = a + b w[d] with |a|, |b| <= 30 and N(xi) != 0, out of `draws` draws."""
+    for _ in range(draws):
+        ctx = field_context(rng.choice(SQUAREFREE))
         xi = QuadInt(ctx, rng.randrange(-30, 31), rng.randrange(-30, 31))
-        if xi.norm() == 0:
-            continue
+        if xi.norm():
+            yield xi
+
+
+def test_principal_basis_idempotent_and_norm():
+    for xi in _random_generators():
+        ctx = xi.ctx
         basis = principal_basis(xi)
         assert basis.norm() == abs(xi.norm())
         # re-canonicalizing is a fixed point
@@ -67,6 +72,23 @@ def test_principal_basis_idempotent_and_norm():
         assert again == basis
         # conjugate ideal: principal_basis of the conjugate generator
         assert basis.conjugate() == principal_basis(xi.conj())
+
+
+def _omega_row(x):
+    """(p, q) with x = p + q*omega, read off x = a + b*w[d]."""
+    d = x.ctx.d
+    return x.a - x.b * ((d - 1) // 2 if d % 4 == 1 else 2 * d), x.b  # w[d] = omega - shift
+
+
+def test_principal_basis_matches_hermite_oracle():
+    # (xi) is spanned by xi and omega*xi; the oracle's Hermite form of those
+    # two rows gives a, c and b mod a.  xi = conj(omega) makes omega*xi = N(omega)
+    # rational, a row with no omega part.
+    conj_omegas = [omega_ideal(field_context(d)).conj() for d in (2, 3, 5, 13)]
+    for xi in [*_random_generators(), *conj_omegas]:
+        basis = principal_basis(xi)
+        A, B, C = _hnf_rows([_omega_row(xi), _omega_row(omega_ideal(xi.ctx) * xi)])
+        assert (basis.a, basis.b % basis.a, basis.c) == (A, B, C), xi
 
 
 def test_basis_validation():

@@ -231,3 +231,46 @@ def test_cli_import_leaves_the_pool_out():
     code = "import sys, quadunit.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def _is_half_coords_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "half_coords")
+
+
+def _passes_an_element(call) -> bool:
+    """call is ``pair_of(mu, u, v)`` or ``pair_of(mu, *x.half_coords())``."""
+    starred = [isinstance(arg, ast.Starred) for arg in call.args]
+    spread = starred == [False, True] and _is_half_coords_call(call.args[1].value)
+    return not call.keywords and (spread or starred == [False, False, False])
+
+
+def _operands(node):
+    """The operands of a ``%`` or ``//`` expression or augmented assignment."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod, ast.FloorDiv)):
+        return node.left, node.right
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Mod, ast.FloorDiv)):
+        return node.target, node.value
+    return ()
+
+
+def test_pair_of_takes_an_element():
+    # pair_of reads the branch and the index pair off an element's half
+    # coordinates (u + v sqrt(d))/2, so no caller encodes either itself
+    calls = [(name, node) for name, node in _library_nodes() if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pair_of"]
+    assert {name for name, _ in calls} >= {"progressions.py", "survey.py"}, calls
+    found = [f"{name}:{node.lineno}" for name, node in calls if not _passes_an_element(node)]
+    assert found == []
+    # and survey.py takes no residue or quotient of those coordinates
+    survey = dict(_library_trees())["survey.py"]
+    for fn in ast.walk(survey):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        coords = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                  and _is_half_coords_call(node.value) for elt in node.targets
+                  for target in ast.walk(elt) if isinstance(target, ast.Name)}
+        found += [f"survey.py:{node.lineno}" for node in ast.walk(fn)
+                  if any(_is_half_coords_call(side) or (isinstance(side, ast.Name) and side.id in coords)
+                         for side in _operands(node))]
+    assert found == []

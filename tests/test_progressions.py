@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -332,18 +333,52 @@ def test_pair_of_inverts_candidate():
             for pair in index_pairs(mu, j, 60):
                 n0, modulus = solve_n0(pair)
                 for n in range(n0, 50, modulus):
-                    _, s = _candidate(pair, n)
-                    assert pair_of(mu, j, pair.y, s) == (pair, n), (pair, n)
+                    _, u = _candidate(pair, n)
+                    assert pair_of(mu, u, (2 - j) * pair.y) == (pair, n), (pair, n)
 
 
 def test_pair_of_rejects_off_grid_elements():
-    assert pair_of(2, 0, 7, 3) == (IndexPair(2, 0, 7, 3), 0)
-    assert pair_of(2, 0, 7, -4) is None  # n < 0
-    assert pair_of(-1, 0, 4, 2) is None  # gcd(x, y) = 2
-    assert pair_of(5, 1, 1, 1) == (IndexPair(5, 1, 1, 0), 0)
-    assert pair_of(5, 1, 1, -1) is None  # s = (2n+1) y + 2x needs n >= 0
-    assert pair_of(5, 1, 3, 8) is None  # s - 2x = 6 = 2y, an even multiple of y
-    assert pair_of(5, 1, 2, 4) is None  # branch 1 needs odd y
+    assert pair_of(2, 6, 14) == (IndexPair(2, 0, 7, 3), 0)  # 3 + 7 sqrt(d)
+    assert pair_of(2, -8, 14) is None  # n < 0
+    assert pair_of(-1, 4, 8) is None  # gcd(x, y) = 2
+    assert pair_of(5, 1, 1) == (IndexPair(5, 1, 1, 0), 0)
+    assert pair_of(5, -1, 1) is None  # u = 2x + (2n+1) y needs n >= 0
+    assert pair_of(5, 8, 3) is None  # u - y = 5 is odd: u = 2x + (2n+1) y has no solution
+    assert pair_of(5, 5, 2) is None  # v even needs u even
+
+
+def _brute_n0(pair):
+    """The least n >= 0 with v^2 | u(n)^2 - 4 mu, and the gap to the next one."""
+    v = (2 - pair.j) * pair.y
+    hits = [n for n in range(2 * pair.y + 1)
+            if (2 * pair.x + (2 * n + pair.j) * pair.y) ** 2 % (v * v) == 4 * pair.mu % (v * v)]
+    return hits[0], hits[1] - hits[0]
+
+
+def test_solve_n0_matches_brute_force():
+    mus = [mu for m in range(1, 41) if is_squarefree(m) for mu in (m, -m)]
+    for mu in mus:
+        for j in (0, 1):
+            for pair in index_pairs(mu, j, 150):
+                assert solve_n0(pair) == _brute_n0(pair), pair
+        # even y with x^2 = mu (mod y) but not (mod 2y): no n at all
+        for y in range(2, 151, 2):
+            for x in range(1, y, 2):
+                if math.gcd(x, y) == 1 and (x * x - mu) % y == 0 and (x * x - mu) % (2 * y):
+                    pair = IndexPair(mu, 0, y, x)
+                    with pytest.raises(ValueError, match="admits no progression"):
+                        solve_n0(pair)
+                    assert all((2 * x + 2 * n * y) ** 2 % (4 * y * y) != 4 * mu % (4 * y * y)
+                               for n in range(y)), pair
+
+
+def test_closed_form_matches_candidates():
+    for mu in (1, -1, 2, -2, 3, -3, 5, 6, 7):
+        for j in (0, 1):
+            for pair in index_pairs(mu, j, 40):
+                prog = build_progression(pair)
+                for k in range(8):
+                    assert prog.element(k) == _candidate(pair, prog.n_start + k * prog.modulus)[0], (pair, k)
 
 
 def test_progression_index():

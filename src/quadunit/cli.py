@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", help="write data rows to this path instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweeps (at most the CPU count)")
+                        help="parallel workers for survey bound and survey pell (at most the "
+                        "CPU count); the other sweeps run serially")
     parser.add_argument("--precision", type=int, default=256, help="report precision bits (>= 64)")
     parser.add_argument("--cutoff", type=int, default=10**5, help="odd-prime cutoff for density products")
     parser.add_argument("--factor-budget", type=int, default=None,
@@ -317,7 +318,7 @@ def _cmd_survey(ns: argparse.Namespace) -> int:
             "ratio": rep.ratio, "liminf_bound": rep.liminf_bound,
         })
     if ns.kind == "pell":
-        rows = [(d,) for d in negative_pell(ns.limit, route="progression")]
+        rows = [(d,) for d in negative_pell(ns.limit, route="progression", jobs=ns.jobs)]
         return _emit(ns, header=("d",), rows=rows)
     probe = 0.0 if ns.probe_constant is None else ns.probe_constant
     report = theorem_bound_sweep(mu, ns.limit, probe, jobs=ns.jobs)

@@ -419,8 +419,8 @@ class BoundReport:
     decile_means: tuple[float, ...]  # mean residual per D-decile, D ascending
 
 
-# Bound-sweep chunks per worker: enough that the costlier high-trace
-# chunks spread evenly over the pool.
+# Sweep chunks per worker (bound and pell sweeps): enough that the
+# costlier high-trace or high-radicand chunks spread evenly over the pool.
 SHARDS_PER_JOB = 8
 
 
@@ -461,14 +461,7 @@ def theorem_bound_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     bound = trial_bound()
     tasks = [(mu, lo, hi, bound) for lo, hi in _shard(t_min, t_max, jobs * SHARDS_PER_JOB)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_bound_chunk, tasks))
-    else:
-        parts = list(map(_bound_chunk, tasks))
-    rows = [r for part in parts for r in part]
+    rows = [r for part in _pool_map(_bound_chunk, tasks, jobs) for r in part]
     if not rows:
         raise ValueError(f"no admissible traces at or below {t_max}")
     residuals = sorted(r.residual for r in rows)
@@ -492,6 +485,19 @@ def theorem_bound_sweep(
         sum(1 for r in residuals if r < -probe_constant),
         tuple(deciles),
     )
+
+
+def _pool_map(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order: on a pool of ``jobs``
+    processes when jobs > 1, else in this process.  ``fn`` and the tasks
+    are pickled for the pool, so ``fn`` is a module-level function and
+    each task carries all the state it needs, the trial bound included."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return list(map(fn, tasks))
 
 
 def _shard(lo: int, hi: int, count: int) -> list[tuple[int, int]]:
@@ -540,35 +546,55 @@ def rank_correlation(values) -> float:
 # negative Pell
 
 
-def negative_pell(n_bound: int, route: str = "progression") -> list[int]:
-    """Square-free d <= n_bound whose fundamental unit has norm -1.
+def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> list[int]:
+    """Square-free d <= n_bound whose fundamental unit has norm -1, ascending.
 
     route="cf": the period parity criterion (odd period of w[d]), read
     from a CFExpansion built outside the expand_omega cache.
     route="progression": reads the norm off the unit and re-derives d as a
     member of the mu = -1 progression seeded by the unit's own index pair,
     exercising the whole progression pipeline per radicand.
+
+    The radicands 2..n_bound are swept in ``SHARDS_PER_JOB * jobs``
+    contiguous ascending chunks (:func:`_pell_chunk`), one after another,
+    or on a pool of ``jobs`` processes when jobs > 1.  Chunks are
+    concatenated in chunk order, so the list does not depend on jobs, and
+    every chunk runs under the trial bound in force for this call.  A
+    bound below 2, an unknown route and jobs < 1 raise ValueError before
+    any chunk runs.
     """
     if n_bound < 2:
         raise ValueError("bound must be >= 2")
     if route not in ("cf", "progression"):
         raise ValueError(f"unknown route {route!r}")
-    flags = squarefree_integers_upto(n_bound)
-    out = []
-    for d in range(2, n_bound + 1):
-        if not flags[d]:
-            continue
-        ctx = field_context(d)
-        if route == "cf":
-            if CFExpansion(ctx).l % 2:
-                out.append(d)
-            continue
-        eps = fundamental_unit(ctx)
-        if eps.norm() != -1:
-            continue
-        _assert_unit_progression_membership(ctx, eps)
-        out.append(d)
-    return out
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    bound = trial_bound()
+    tasks = [(route, lo, hi, bound) for lo, hi in _shard(2, n_bound, jobs * SHARDS_PER_JOB)]
+    return [d for part in _pool_map(_pell_chunk, tasks, jobs) for d in part]
+
+
+def _pell_chunk(args) -> list[int]:
+    """One chunk ``(route, lo, hi, bound)`` of the negative Pell sweep:
+    its radicands in [lo, hi], ascending, under its trial bound."""
+    route, lo, hi, bound = args
+    with factor_budget(bound):
+        flags = squarefree_integers_upto(hi)
+        out = []
+        for d in range(lo, hi + 1):
+            if not flags[d]:
+                continue
+            ctx = field_context(d)
+            if route == "cf":
+                if CFExpansion(ctx).l % 2:
+                    out.append(d)
+                continue
+            eps = fundamental_unit(ctx)
+            if eps.norm() != -1:
+                continue
+            _assert_unit_progression_membership(ctx, eps)
+            out.append(d)
+        return out
 
 
 def _assert_unit_progression_membership(ctx: FieldContext, eps: QuadInt) -> None:

@@ -411,6 +411,20 @@ def test_parallel_bound_sweep_keeps_the_budget(monkeypatch, capsys):
     assert survey._bound_chunk((2, 2, 200, 10**6)) == survey._bound_rows(2, 2, 200)
 
 
+def test_parallel_pell_keeps_the_budget(monkeypatch, capsys):
+    # as for survey bound: every pell chunk runs under the call's budget
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--format", "csv", "survey", "pell", "--limit", "2000")
+    serial = run_cli("--factor-budget", "10", *argv, capsys=capsys)
+    assert serial == (1, "", "budget error: cofactor 1003 of 1003 not resolved within budget 10\n")
+    assert run_cli("--factor-budget", "10", "--jobs", "2", *argv, capsys=capsys) == serial
+    monkeypatch.setenv("QUADUNIT_FACTOR_BUDGET", "10")
+    assert run_cli(*argv, capsys=capsys) == serial
+    assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
+    with pytest.raises(UnfactoredError):
+        survey._pell_chunk(("progression", 2, 2000, 10))
+
+
 def test_factor_budget_flag_does_not_leak(capsys):
     # --factor-budget holds for its own call only, in both directions: it
     # does not fail a later call, and a context cached by an unbudgeted call
@@ -522,6 +536,19 @@ def test_parallel_bound_sweep_matches_serial(monkeypatch, capsys):
             assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial, (limit, jobs)
 
 
+def test_parallel_pell_matches_serial(monkeypatch, capsys):
+    # --limit 2, 3 and 17 give more chunks than radicands, so some chunks
+    # hold one radicand or none
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for fmt in ("csv", "json"):
+        for limit in ("2", "3", "17", "500", "2000"):
+            argv = ("--format", fmt, "survey", "pell", "--limit", limit)
+            serial = run_cli(*argv, capsys=capsys)
+            assert serial[0] == 0
+            for jobs in ("2", "3"):
+                assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial, (fmt, limit, jobs)
+
+
 @pytest.mark.parametrize("mu", [-2, 0, 1, 4])
 def test_parallel_bound_sweep_rejects_mu_as_serial(monkeypatch, capsys, mu):
     # the --jobs workers run the same mu check as the serial sweep, also
@@ -590,6 +617,32 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
     assert run_cli("--jobs", "1000", *argv, capsys=capsys) == serial
     assert run_cli("--jobs", "0", *argv, capsys=capsys) == serial
     assert workers == [3]
+    pell = ("--format", "csv", "survey", "pell", "--limit", "300")
+    pell_serial = run_cli(*pell, capsys=capsys)
+    assert run_cli("--jobs", "1", *pell, capsys=capsys) == pell_serial
+    assert workers == [3]
+    assert run_cli("--jobs", "1000", *pell, capsys=capsys) == pell_serial
+    assert workers == [3, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
     assert run_cli("--jobs", "4", *argv, capsys=capsys) == serial
-    assert workers == [3]
+    assert run_cli("--jobs", "4", *pell, capsys=capsys) == pell_serial
+    assert workers == [3, 3]
+
+
+def test_pell_rejects_bad_input_before_any_pool(monkeypatch, capsys):
+    workers = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(workers, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(survey, "_pell_chunk", no_chunk)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
+        survey.negative_pell(10, jobs=0)
+    with pytest.raises(ValueError, match=r"^unknown route 'x'$"):
+        survey.negative_pell(10, route="x", jobs=2)
+    assert run_cli("--jobs", "2", "survey", "pell", "--limit", "1", capsys=capsys) == (
+        2, "", "usage error: bound must be >= 2\n")
+    assert workers == []

@@ -220,10 +220,10 @@ def test_one_trial_division_pass():
     assert len(calls) == 1 and scopes == ["arith.py._trial_divide"], (calls, scopes)
 
 
-def test_one_bound_sweep_pool():
-    # the process pool of the bound sweep lives in its one driver
+def test_one_sweep_pool():
+    # the bound and pell sweeps share one process pool, in one helper
     found = _uses("ProcessPoolExecutor")
-    assert found and set(found) == {"survey.py.theorem_bound_sweep"}, found
+    assert found and set(found) == {"survey.py._pool_map"}, found
 
 
 def test_cli_import_leaves_the_pool_out():

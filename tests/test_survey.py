@@ -297,6 +297,8 @@ def test_negative_pell_small():
 
 def test_negative_pell_routes_agree():
     assert negative_pell(500, route="cf") == negative_pell(500, route="progression")
+    # a real 2-process pool joins its chunks into the same list
+    assert negative_pell(500, jobs=2) == negative_pell(500) == negative_pell(500, route="cf")
 
 
 def test_ramified_identity_sweep():

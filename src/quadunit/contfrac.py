@@ -125,6 +125,13 @@ def _half_cycle(d: int, max_steps: int) -> tuple[tuple[int, ...], tuple[int, ...
     raise BudgetError(f"period of w[{d}] not closed within {max_steps} steps")
 
 
+def _period_states(P: tuple[int, ...], Q: tuple[int, ...], k: int):
+    """(P_1..P_l, Q_1..Q_l), in period order, as iterators over the half
+    walk's P_0..P_j and Q_0..Q_j, where k = l - j states follow the
+    midpoint: P_{j+i} = P_{k+1-i} and Q_{j+i} = Q_{k-i} for i = 1..k."""
+    return chain(P[1:], P[k:0:-1]), chain(Q[1:], reversed(Q[:k]))
+
+
 class CFExpansion:
     """Period, partial quotients, convergents and xi/nu streams for w[d],
     read from the half-period walk through the palindrome."""
@@ -167,9 +174,9 @@ class CFExpansion:
         m = k .. 1 (k = l - j) gives a_n = a_m, P_{n+1} = P_m and
         Q_{n+1} = Q_{m-1}.  nu_n = e Q_{n+1} / 2 as in :meth:`nu`.
         """
-        a, P, Q, e = self._a, self._P, self._Q, self._e
+        a, e = self._a, self._e
         k = self.l - self._j
-        rows = chain(zip(a, P[1:], Q[1:]), zip(a[k:0:-1], P[k:0:-1], reversed(Q[:k])))
+        rows = zip(chain(a, a[k:0:-1]), *_period_states(self._P, self._Q, k))
         return ((a_n, P_n, Q_n, e * Q_n // 2) for a_n, P_n, Q_n in rows)
 
     def _extend(self, n: int) -> None:
@@ -362,8 +369,6 @@ def regulator(ctx: FieldContext) -> float:
     relative accuracy for periods in the 1e4 range.
     """
     quotients, Ps, Qs, odd = _half_cycle(ctx.d, MAX_CF_STEPS)
-    k = len(quotients) - (1 if odd else 2)  # states after the midpoint: k = l - j
-    Ps = chain(Ps[1:], Ps[k:0:-1])  # P_1..P_j, then P_{j+1..l} = P_{k..1}
-    Qs = chain(Qs[1:], reversed(Qs[:k]))  # Q_1..Q_j, then Q_{j+1..l} = Q_{k-1..0}
+    Ps, Qs = _period_states(Ps, Qs, len(quotients) - (1 if odd else 2))
     alphas = map(operator.truediv, map(operator.add, Ps, repeat(math.sqrt(ctx.d))), Qs)
     return reduce(operator.add, map(math.log, alphas), 0.0)

@@ -77,10 +77,6 @@ class FieldContext:
     def omega_norm(self) -> int:
         return (1 - self.d) // 4 if self.is_half else -self.d
 
-    @property
-    def sqrt_floor(self) -> int:
-        return isqrt(self.d)
-
     # sqrt(D) = sqrt_disc_scale * sqrt(d)
     @property
     def sqrt_disc_scale(self) -> int:

@@ -165,8 +165,7 @@ def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
 
     Scans traces and both signed norms, reading each discriminant's
     square-free kernel from :func:`trace_kernels`, and tests minimality
-    against a table of small fundamental units (fields absent from the
-    table have eps_d beyond x_bound, making every candidate minimal).
+    on each candidate itself (:func:`_within_unit`), with no unit table.
     Entries come sorted by (value, trace, signed_norm), a block of traces
     at a time: see :func:`_e_mu_trace`.  A bad mu raises ValueError here,
     before the first entry is asked for.
@@ -176,35 +175,39 @@ def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
     return _e_mu_trace(mu, Fraction(x_bound))
 
 
-def _unit_traces(trace_max: int) -> dict[int, int]:
-    """d -> trace m_e of the fundamental unit, for all fields whose
-    fundamental unit has trace <= trace_max.
+def _within_unit(m: int, f: int, d: int, mu: int) -> bool:
+    """xi <= eps_d for xi = (m + f sqrt d)/2 > 1 of norm sigma = +-mu,
+    mu square-free: decided in integers and at most one exact sign.
 
-    Units > 1 of one norm ascend with their trace, so the first trace that
-    :func:`trace_kernels` yields for a radicand belongs to the least unit
-    of that norm.  A field with a unit of norm -1 has its fundamental unit
-    among them, so the norm -1 scan goes first and the norm +1 scan only
-    fills in the fields it left out.
+    Scan.  A unit eta = (u + g sqrt d)/2 > 1 has u^2 = g^2 d +- 4, so
+    eta >= g sqrt(d) - 1.  Now xi = f sqrt(d) + sigma/xi: for sigma = -mu,
+    xi < f sqrt d, and for sigma = +mu, sqrt(d) <= xi <= f sqrt(d) +
+    mu/sqrt(d).  Either way every unit with g > f + ceil(mu/d) lies above
+    xi, as (1 + ceil(mu/d)) d - sqrt(d) > mu.  Each square
+    u^2 = g^2 d +- 4 gives a unit > 1; eps_d has the least g and shares it
+    only at d = 5, g = 1 with its square (3 + sqrt 5)/2 of norm +1.  So
+    the scan's first hit, g = 1 .. f + ceil(mu/d) ascending and -4 before
+    +4, is eps_d, and xi <= eps_d is the sign of (m - u) + (f - g) sqrt d.
+    No hit puts eps_d above xi.  (g^2 d - 4 < 0 at g = 1 for d = 2 and 3,
+    where is_square says no.)
+
+    Shortcut.  For d > mu (the scan stops at g = f + 1) and
+    m > 2(mu (f + 1) + f^2) + 1, xi is kept untested.  With
+    m^2 = f^2 d + 4 sigma and u^2 = g^2 d + 4 s, (f u)^2 = (g m)^2 + delta,
+    delta = 4 s f^2 - 4 sigma g^2 and |delta| <= 4 g^2 mu + 4 f^2.  That
+    bound minus 2 g m - 1 is convex in g and negative at g = 1 and f + 1,
+    so over the whole scan (f u)^2 lies strictly between (g m - 1)^2 and
+    (g m + 1)^2 and can only be (g m)^2: delta = 0, s f^2 = sigma g^2.  A
+    square-free mu >= 2 rules that out, so no g hits; for mu = 1 the one
+    hit is g = f, u = m, xi itself, which is then eps_d.
     """
-    units: dict[int, int] = {}
-    for sigma in (-1, 1):
-        for m, d, _ in trace_kernels(sigma, 0, trace_max):
-            units.setdefault(d, m)
-    return units
-
-
-def _unit_sqrt_coeff(d: int, me: int) -> int:
-    """f_e of eps_d = (m_e + f_e sqrt d)/2, from m_e^2 - f_e^2 d = 4 N(eps_d).
-
-    Norm -1 is tried first: only d = 2 has both m_e^2 + 4 and m_e^2 - 4 of
-    the form f^2 d (m_e = 2: 8 = 2^2 * 2, and 0 with f = 0), and there the
-    unit 1 + sqrt(2) has norm -1 and f_e = 2.
-    """
-    q, r = divmod(me * me + 4, d)
-    fe = isqrt(q)
-    if r or fe * fe != q:
-        fe = isqrt((me * me - 4) // d)
-    return fe
+    if d > mu and m > 2 * (mu * (f + 1) + f * f) + 1:
+        return True
+    for g in range(1, f + 1 - (-mu // d)):
+        for n in (g * g * d - 4, g * g * d + 4):  # norm -1 first
+            if is_square(n):
+                return sign_plus_sqrt(m - isqrt(n), f - g, d) <= 0
+    return True
 
 
 def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
@@ -233,20 +236,17 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
     1 < xi < x and xi <= eps_d, sorted by (value, trace, signed_norm).
 
     Each of the three conditions is decided in integers where integers
-    can decide it, and by the exact sign of a + b sqrt(d) only inside a
-    window of about mu traces.  The conjugate of xi is sigma/xi, so
-    xi = m - sigma/xi, and once xi > 1 it lies in (m - mu, m + mu).
-    Likewise eps_d = (m_e + f_e sqrt d)/2 > 1 has norm +-1, so it lies in
-    (m_e - 1, m_e + 1).
+    can decide it, and by the exact sign of a + b sqrt(d) only where they
+    cannot.  The conjugate of xi is sigma/xi, so xi = m - sigma/xi, and
+    once xi > 1 it lies in (m - mu, m + mu).
 
     - xi > 1: f sqrt(d) > 1 (d >= 2, f >= 1), so m >= 1 gives
       m + f sqrt(d) > 2.  Only m <= 0 takes the exact sign.
     - xi < x: xi < m + mu, so m + mu <= x settles it.  Only traces
       m > floor(x) - mu take the exact sign.
-    - xi <= eps_d: m + mu <= m_e - 1 gives xi < m_e - 1 < eps_d (keep),
-      and m - mu >= m_e + 1 gives xi > m_e + 1 > eps_d (drop).  Only the
-      traces between, m_e - mu <= m <= m_e + mu, take the exact sign, and
-      only they need f_e (:func:`_unit_sqrt_coeff`); the table holds m_e.
+    - xi <= eps_d: :func:`_within_unit` keeps most candidates by an
+      integer bound and scans the rest for eps_d.  Only a scan that finds
+      eps_d takes the exact sign, one.
 
     Raw signs on (m, f, d), not qi_compare: this runs for every candidate
     of the trace scan, and a QuadInt per candidate would slow the scan.
@@ -265,7 +265,6 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
         return
     m_max = int(x) + mu + 2
     m_below = int(x) - mu  # m <= m_below: xi < m + mu <= x
-    units = _unit_traces(int(x) + 2)
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
     scans = [_trace_blocks(trace_kernels(sigma, m_min, m_max), -mu, E_MU_BLOCK)
@@ -280,14 +279,8 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
                     continue  # not above 1
                 if m > m_below and not _below_bound(m, f, d, x):
                     continue
-                me = units.get(d)
-                if me is not None:
-                    if m - mu > me:
-                        continue  # above eps_d
-                    # xi <= eps_d  <=>  (m - me) + (f - fe) sqrt(d) <= 0
-                    if m + mu >= me and sign_plus_sqrt(m - me, f - _unit_sqrt_coeff(d, me), d) > 0:
-                        continue
-                pending.append(((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f))
+                if _within_unit(m, f, d, mu):
+                    pending.append(((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f))
         pending.sort()
         final = bisect_left(pending, (end - mu - 1,))  # value < end - mu - 1
         for value, m, sigma, d, f in pending[:final]:

@@ -336,7 +336,7 @@ def _corrupted(d, kind, k):
     a, P, Q, nu = rows[k]
     rows[k] = {"P": (a, P + 1, Q, nu), "Q": (a, P, Q + 2, nu),
                # P > sqrt(d): at k = 0 only the alpha test of n = 0 sees it
-               "P_big": (a, e.ctx.sqrt_floor + 1, Q, nu),
+               "P_big": (a, math.isqrt(e.ctx.d) + 1, Q, nu),
                "a": (a + 1, P, Q, nu),  # a_k, the last quotient of q_k
                "nu": (a, P, Q, nu + 1)}[kind]
     e.period = lambda: iter(rows)

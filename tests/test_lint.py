@@ -178,11 +178,15 @@ def test_e_mu_entries_have_slots():
 
 
 def test_e_mu_keeps_no_unit_map():
-    # the unit table maps d to the trace m_e alone; the (trace, f) map is a
-    # test oracle
+    # E_mu decides xi <= eps_d on each candidate (survey._within_unit): no
+    # table of units, whose sieves would add two to the two trace sieves of
+    # each E_mu call; the (trace, f) map is a test oracle
+    tables = ("_unit_map", "_unit_traces", "_unit_sqrt_coeff")
     defined = [f"{name}:{node.lineno}" for name, node in _library_nodes()
-               if isinstance(node, ast.FunctionDef) and node.name == "_unit_map"]
-    assert defined == [] and _uses("_unit_map") == []
+               if isinstance(node, ast.FunctionDef) and node.name in tables]
+    assert defined == [] and [scope for name in tables for scope in _uses(name)] == []
+    scans = [scope for scope in _uses("trace_kernels") if scope.startswith("survey.py")]
+    assert scans == ["survey.py", "survey.py._e_mu_trace", "survey.py.f_mu", "survey.py._bound_rows"], scans
 
 
 def test_cli_reads_e_mu_as_a_stream():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadunit.arith import is_squarefree
+from quadunit.arith import is_squarefree, isqrt
 from quadunit.contfrac import fundamental_unit
 from quadunit.quadfield import (
     FieldContext,
@@ -29,9 +29,9 @@ def test_field_context_validation():
     with pytest.raises(ValueError):
         FieldContext(49)
     ctx = field_context(5)
-    assert ctx.is_half and ctx.discriminant == 5 and (1 + ctx.sqrt_floor) // 2 == 1
+    assert ctx.is_half and ctx.discriminant == 5 and (1 + isqrt(ctx.d)) // 2 == 1
     ctx = field_context(6)
-    assert not ctx.is_half and ctx.discriminant == 24 and ctx.sqrt_floor == 2
+    assert not ctx.is_half and ctx.discriminant == 24 and isqrt(ctx.d) == 2
 
 
 def test_norm_trace_examples():

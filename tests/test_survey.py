@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from quadunit import survey
-from quadunit.arith import BudgetError, is_squarefree
+from quadunit.arith import BudgetError, is_square, is_squarefree
 from quadunit.contfrac import fundamental_unit
+from quadunit.progressions import trace_kernels
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
 from quadunit.survey import (
     E_mu,
@@ -117,10 +118,12 @@ def test_e_mu_routes_agree():
 
 def test_e_mu_pre_tests_are_exact(monkeypatch):
     # the integer pre-tests keep exactly the candidates the three exact signs
-    # keep, and take an exact sign only inside the windows of _e_mu_trace:
-    # m <= 0 for xi > 1, m > floor(x) - mu for xi < x, |m - m_e| <= mu for
-    # xi <= eps_d.  The stream interleaves the two norms, so both sides are
-    # compared by (trace, signed_norm).
+    # keep, and take an exact sign only where _e_mu_trace says: m <= 0 for
+    # xi > 1, m > floor(x) - mu for xi < x, and, for xi <= eps_d, one sign
+    # when _within_unit's scan runs (no shortcut) and finds eps_d, i.e.
+    # when eps_d = (m_e + g sqrt d)/2 has g <= f + ceil(mu/d).  The stream
+    # interleaves the two norms, so both sides are compared by
+    # (trace, signed_norm).
     from quadunit import survey
 
     signs = []
@@ -130,31 +133,36 @@ def test_e_mu_pre_tests_are_exact(monkeypatch):
         return sign_plus_sqrt(u, v, d)
 
     monkeypatch.setattr(survey, "sign_plus_sqrt", counted)
-    edges = set()  # window edges some candidate sat on
+    edges = set()  # bounds some candidate sat on
     xs = (Fraction(11, 10), Fraction(6, 5), 2, Fraction(7, 2), 5, 12, 30, 100, Fraction(201, 2),
           1000, Fraction(4001, 3))
     for mu in (1, 2, 3, 5, 7, 997):
         for x in xs:
-            m_below, units = int(x) - mu, unit_map(int(x) + 2)
+            m_below = int(x) - mu
             candidates = e_mu_consider(mu, x)
             kept = [c[:4] for c in candidates if c[4] == 3]
+            # a unit with g <= f + ceil(mu/d) has trace at most this
+            reach = max((math.isqrt((f - (-mu // d)) ** 2 * d + 4) for _, _, d, f, _ in candidates), default=0)
+            units = unit_map(reach)
             window = 0
-            for m, _, d, _, passed in candidates:
+            for m, _, d, f, passed in candidates:
                 window += m <= 0
                 if passed >= 1:
                     window += m > m_below
                     edges.add(("x", m - m_below))
-                if passed >= 2 and d in units:
-                    offset = m - units[d][0]
-                    window += abs(offset) <= mu
-                    edges.update({("eps low", offset + mu), ("eps high", offset - mu)})
+                if passed >= 2:
+                    above = m - (2 * (mu * (f + 1) + f * f) + 1)  # the shortcut keeps xi when > 0
+                    if d > mu:
+                        edges.add(("shortcut", above))
+                    if not (d > mu and above > 0) and d in units:
+                        window += units[d][1] <= f - (-mu // d)
             signs.clear()
             got = [(e.trace, e.signed_norm, e.d, e.sqrt_coeff) for e in survey._e_mu_trace(mu, Fraction(x))]
             assert sorted(got) == sorted(kept), (mu, x)
             assert len(signs) == window, (mu, x)
             assert E_mu(mu, x).keys() == {(d, m, sigma) for m, sigma, d, _ in kept}, (mu, x)
-    # each window's bound was met from both sides
-    want = {("x", 0), ("x", 1), ("eps low", -1), ("eps low", 0), ("eps high", 0), ("eps high", 1)}
+    # each bound was met from both sides
+    want = {("x", 0), ("x", 1), ("shortcut", 0), ("shortcut", 1)}
     assert want <= edges, want - edges
 
 
@@ -172,17 +180,59 @@ def test_unit_map_matches_fundamental_units():
     assert seen > 100
 
 
-def test_unit_traces_match_the_unit_map():
-    # the library keeps only d -> m_e; f_e comes back from m_e^2 -+ 4 = f_e^2 d
+def test_within_unit_matches_the_unit_map(monkeypatch):
+    # survey._within_unit against the oracle's fundamental units: eps_d is
+    # within, eps_d^2 is not, and every candidate of the trace scan is
+    # decided as the exact sign against eps_d decides it
+    within = survey._within_unit
     for trace_max in (300, 3000):
-        oracle = unit_map(trace_max)
-        table = survey._unit_traces(trace_max)
-        assert table == {d: m for d, (m, _) in oracle.items()}, trace_max
-        for d, (m, f) in oracle.items():  # every d, so every d a window reaches
-            assert survey._unit_sqrt_coeff(d, m) == f, d
-    # 1 + sqrt(2): m_e^2 - 4 = 0 as well, but the unit has norm -1 and f_e = 2
-    assert (table[2], survey._unit_sqrt_coeff(2, 2)) == (2, 2)
-    assert (table[5], survey._unit_sqrt_coeff(5, 1)) == (1, 1)  # (1 + sqrt(5))/2
+        units = unit_map(trace_max)
+        for d, (m, f) in units.items():
+            assert within(m, f, d, 1), d
+            # eps_d^2 = ((m^2 + f^2 d)/2 + m f sqrt d)/2
+            assert not within((m * m + f * f * d) // 2, m * f, d, 1), d
+        for mu in (1, 2, 3, 5, 7):
+            for sigma, m_min in ((mu, 0), (-mu, -mu)):
+                for m, d, f in trace_kernels(sigma, m_min, trace_max):
+                    if sign_plus_sqrt(m - 2, f, d) <= 0:
+                        continue  # not above 1
+                    if d in units:
+                        me, fe = units[d]
+                        assert within(m, f, d, mu) == (sign_plus_sqrt(m - me, f - fe, d) <= 0), (m, f, d)
+                    elif m + mu < trace_max:  # xi < m + mu <= trace_max - 1 < eps_d
+                        assert within(m, f, d, mu), (m, f, d)
+    # 1 + sqrt(2) = (2 + 2 sqrt 2)/2 is found at g = 2, past g^2 d - 4 < 0
+    assert within(2, 2, 2, 1) and not within(6, 4, 2, 1)
+    assert within(0, 2, 2, 2) and not within(4, 2, 2, 2)  # sqrt(2); 2 + sqrt(2) = sqrt(2) eps_2
+    assert within(4, 2, 3, 1) and within(0, 2, 3, 3)  # 2 + sqrt(3); sqrt(3)
+    # d = 5, g = 1 holds (1 + sqrt 5)/2 of norm -1 and its square of norm +1:
+    # only -4 before +4 puts sqrt(5) between them above eps_5
+    assert within(1, 1, 5, 1) and not within(3, 1, 5, 1)
+    assert not within(0, 2, 5, 5)
+    # candidates on both sides of the shortcut bound: at the bound the scan
+    # runs, one above it no square is tested
+    squares = []
+
+    def counted(n):
+        squares.append(n)
+        return is_square(n)
+
+    monkeypatch.setattr(survey, "is_square", counted)
+    sides = set()
+    for mu in (1, 2, 3, 5, 7):
+        for f in (1, 2, 3, 4):
+            bound = 2 * (mu * (f + 1) + f * f) + 1
+            for m in (bound, bound + 1):
+                for sigma in (mu, -mu):
+                    q, r = divmod(m * m - 4 * sigma, f * f)
+                    if r or q <= mu or not is_squarefree(q):
+                        continue
+                    me, fe = fundamental_unit(field_context(q)).half_coords()
+                    squares.clear()
+                    assert within(m, f, q, mu) == (sign_plus_sqrt(m - me, f - fe, q) <= 0), (m, f, q, mu)
+                    assert bool(squares) == (m == bound), (m, f, q, mu)
+                    sides.add(m - bound)
+    assert sides == {0, 1}
 
 
 def test_e_mu_stream_matches_sorted_oracle():
@@ -198,8 +248,8 @@ def test_e_mu_stream_matches_sorted_oracle():
 
 
 def test_e_mu_stream_holds_no_whole_list():
-    # reading the stream holds a block of entries and the m_e table, not
-    # every entry (E_mu's report does) or a tuple per field
+    # reading the stream holds a block of entries, not every entry (E_mu's
+    # report does) or a tuple per field
     import tracemalloc
 
     def peak(run):
@@ -212,7 +262,7 @@ def test_e_mu_stream_holds_no_whole_list():
 
     streamed = peak(lambda: sum(1 for _ in survey.e_mu_stream(3, 10**4)))
     collected = peak(lambda: E_mu(3, 10**4))
-    assert streamed < 0.6 * collected, (streamed, collected)
+    assert streamed < 0.3 * collected, (streamed, collected)
 
 
 def test_e_mu_upper_bound():

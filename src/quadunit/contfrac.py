@@ -125,6 +125,15 @@ def _half_cycle(d: int, max_steps: int) -> tuple[tuple[int, ...], tuple[int, ...
     raise BudgetError(f"period of w[{d}] not closed within {max_steps} steps")
 
 
+def period_is_odd(d: int) -> bool:
+    """Whether the period l of w[d] is odd, so N(eps_d) = (-1)**l = -1: the
+    half walk's flag, keyed on d alone, so no FieldContext is built.  d < 2
+    or a square (the walk would divide by Q = 0) raises ValueError."""
+    if d < 2 or isqrt(d) ** 2 == d:
+        raise ValueError(f"{d} is not a valid radicand")
+    return _half_cycle(d, MAX_CF_STEPS)[3]
+
+
 def _period_states(P: tuple[int, ...], Q: tuple[int, ...], k: int):
     """(P_1..P_l, Q_1..Q_l), in period order, as iterators over the half
     walk's P_0..P_j and Q_0..Q_j, where k = l - j states follow the

@@ -31,7 +31,7 @@ from .arith import (
     squarefree_integers_upto,
     trial_bound,
 )
-from .contfrac import CFExpansion, expand_omega, fundamental_unit, regulator
+from .contfrac import CFExpansion, expand_omega, fundamental_unit, period_is_odd, regulator
 from .ideals import mu_below_omega, principal_basis
 from .progressions import build_progression, pair_of, trace_kernels
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
@@ -544,9 +544,10 @@ def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> li
 
     route="cf": the period parity criterion (odd period of w[d]), read
     from a CFExpansion built outside the expand_omega cache.
-    route="progression": reads the norm off the unit and re-derives d as a
-    member of the mu = -1 progression seeded by the unit's own index pair,
-    exercising the whole progression pipeline per radicand.
+    route="progression": reads the period parity first (:func:`period_is_odd`)
+    and skips even l; only for odd l does it build the unit, raise
+    AssertionError unless N(eps_d) = -1, and re-derive d as a member of the
+    mu = -1 progression seeded by the unit's own index pair.
 
     The radicands 2..n_bound are swept in ``SHARDS_PER_JOB * jobs``
     contiguous ascending chunks (:func:`_pell_chunk`), one after another,
@@ -575,16 +576,16 @@ def _pell_chunk(args) -> list[int]:
         flags = squarefree_integers_upto(hi)
         out = []
         for d in range(lo, hi + 1):
-            if not flags[d]:
+            if not flags[d] or (route == "progression" and not period_is_odd(d)):
                 continue
             ctx = field_context(d)
             if route == "cf":
                 if CFExpansion(ctx).l % 2:
                     out.append(d)
                 continue
-            eps = fundamental_unit(ctx)
+            eps = fundamental_unit(ctx)  # the memo holds the parity's walk
             if eps.norm() != -1:
-                continue
+                raise AssertionError(f"period of w[{d}] is odd but N(eps_d) = {eps.norm()}")
             _assert_unit_progression_membership(ctx, eps)
             out.append(d)
         return out

@@ -416,7 +416,7 @@ def test_parallel_pell_keeps_the_budget(monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ("--format", "csv", "survey", "pell", "--limit", "2000")
     serial = run_cli("--factor-budget", "10", *argv, capsys=capsys)
-    assert serial == (1, "", "budget error: cofactor 1003 of 1003 not resolved within budget 10\n")
+    assert serial == (1, "", "budget error: cofactor 1009 of 1009 not resolved within budget 10\n")
     assert run_cli("--factor-budget", "10", "--jobs", "2", *argv, capsys=capsys) == serial
     monkeypatch.setenv("QUADUNIT_FACTOR_BUDGET", "10")
     assert run_cli(*argv, capsys=capsys) == serial

@@ -16,6 +16,7 @@ from quadunit.contfrac import (
     expand_omega,
     fundamental_unit,
     is_reduced,
+    period_is_odd,
     regulator,
     residuals_hold,
     total_quotient,
@@ -142,6 +143,16 @@ def test_one_walk_per_radicand_per_call(capsys):
     # candidates build_progression tests for other radicands; without the
     # memo this made 15,013 walks
     assert _walks(lambda: negative_pell(20500)) < 13_000
+
+
+def test_period_is_odd_reads_the_expansion_parity():
+    flags = squarefree_integers_upto(3000)
+    for d in range(2, 3000):
+        if flags[d]:
+            assert period_is_odd(d) == CFExpansion(field_context(d)).l % 2, d
+    for d in (0, 1, 4, 10**6):  # the walk would divide by Q = 0 on a square
+        with pytest.raises(ValueError):
+            period_is_odd(d)
 
 
 def test_last_quotient_and_palindrome():

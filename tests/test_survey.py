@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadunit import survey
-from quadunit.arith import BudgetError, is_square, is_squarefree
+from quadunit import contfrac, survey
+from quadunit.arith import BudgetError, is_square, is_squarefree, trial_bound
 from quadunit.contfrac import fundamental_unit
 from quadunit.progressions import trace_kernels
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
@@ -20,7 +20,7 @@ from quadunit.survey import (
     theorem_bound_sweep,
 )
 
-from oracles import e_mu_consider, e_mu_fields, negative_pell_bruteforce, unit_map
+from oracles import e_mu_consider, e_mu_fields, linear_cf_walk, negative_pell_bruteforce, unit_map
 
 
 def test_minimal_elements_examples():
@@ -349,6 +349,31 @@ def test_negative_pell_routes_agree():
     assert negative_pell(500, route="cf") == negative_pell(500, route="progression")
     # a real 2-process pool joins its chunks into the same list
     assert negative_pell(500, jobs=2) == negative_pell(500) == negative_pell(500, route="cf")
+
+
+def test_negative_pell_matches_the_full_period_parity():
+    # both routes read the half walk's parity flag, so the check that holds
+    # them to an independent method walks each whole period in the oracle
+    want = [d for d in range(2, 20501) if is_squarefree(d) and len(linear_cf_walk(d)[1]) % 2]
+    assert len(want) == 2443
+    assert negative_pell(20500) == want
+    assert negative_pell(20500, jobs=2) == want
+
+
+def test_negative_pell_builds_fields_only_for_odd_periods():
+    # the parity is read from the radicand first: a context is built (and
+    # trial-divided) only for the radicands the sweep returns
+    field_context.cache_clear()
+    contfrac._half_cycle.cache_clear()
+    found = negative_pell(20500)
+    assert field_context.cache_info().misses == len(found)
+
+
+def test_negative_pell_rejects_a_unit_against_its_parity(monkeypatch):
+    # an odd period with a unit of norm +1 is a fault, never a skip
+    monkeypatch.setattr(survey, "fundamental_unit", lambda ctx: fundamental_unit(ctx) ** 2)
+    with pytest.raises(AssertionError, match="is odd but N"):
+        survey._pell_chunk(("progression", 2, 50, trial_bound()))
 
 
 def test_ramified_identity_sweep():

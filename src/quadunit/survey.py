@@ -543,11 +543,14 @@ def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> li
     """Square-free d <= n_bound whose fundamental unit has norm -1, ascending.
 
     route="cf": the period parity criterion (odd period of w[d]), read
-    from a CFExpansion built outside the expand_omega cache.
-    route="progression": reads the period parity first (:func:`period_is_odd`)
-    and skips even l; only for odd l does it build the unit, raise
-    AssertionError unless N(eps_d) = -1, and re-derive d as a member of the
-    mu = -1 progression seeded by the unit's own index pair.
+    from a CFExpansion built outside the expand_omega cache, for every d.
+    route="progression": drops d with a prime factor p = 3 (mod 4), then
+    reads the period parity (:func:`period_is_odd`) and skips even l; only
+    for odd l does it build the unit, raise AssertionError unless
+    N(eps_d) = -1, and re-derive d as a member of the mu = -1 progression
+    seeded by the unit's own index pair.  The drop is exact: N(eps_d) = -1
+    with eps_d = (u + v sqrt d)/2 gives u^2 - v^2 d = -4, so for odd p | d,
+    u^2 = -4 (mod p) with p not dividing u, -1 is a square mod p and p = 1 (mod 4).
 
     The radicands 2..n_bound are swept in ``SHARDS_PER_JOB * jobs``
     contiguous ascending chunks (:func:`_pell_chunk`), one after another,
@@ -570,10 +573,16 @@ def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> li
 
 def _pell_chunk(args) -> list[int]:
     """One chunk ``(route, lo, hi, bound)`` of the negative Pell sweep:
-    its radicands in [lo, hi], ascending, under its trial bound."""
+    its radicands in [lo, hi], ascending, under its trial bound.  The
+    progression route first clears multiples of primes p = 3 (mod 4)."""
     route, lo, hi, bound = args
     with factor_budget(bound):
         flags = squarefree_integers_upto(hi)
+        if route == "progression":
+            # a composite p was cleared by its smaller prime factor 3 (mod 4)
+            for p in range(3, hi + 1, 4):
+                if flags[p]:
+                    flags[p::p] = bytes(len(range(p, hi + 1, p)))
         out = []
         for d in range(lo, hi + 1):
             if not flags[d] or (route == "progression" and not period_is_odd(d)):

@@ -139,10 +139,14 @@ def test_one_walk_per_radicand_per_call(capsys):
     capsys.readouterr()
     assert _walks(lambda: minimal_elements(field_context(94), 2)) == 1
     assert _walks(lambda: split_identity_check(94, 3)) == 1
-    # one walk for each of the 12,465 square-free radicands, plus the
-    # candidates build_progression tests for other radicands; without the
-    # memo this made 15,013 walks
-    assert _walks(lambda: negative_pell(20500)) < 13_000
+    # 3,454 walks: one for each of the 2,991 square-free radicands with no
+    # prime factor 3 (mod 4), plus the candidates build_progression tests
+    # for other radicands; the 3-mod-4 sieve decides the other 9,474
+    # radicands with no walk
+    assert _walks(lambda: negative_pell(20500)) < 3_600
+    # the cf route checks the sweep, so it stays unfiltered: one walk for
+    # each of the 12,465 square-free radicands
+    assert _walks(lambda: negative_pell(20500, route="cf")) == 12_465
 
 
 def test_period_is_odd_reads_the_expansion_parity():

@@ -360,6 +360,25 @@ def test_negative_pell_matches_the_full_period_parity():
     assert negative_pell(20500, jobs=2) == want
 
 
+def test_negative_pell_sieve_drops_only_even_periods(monkeypatch):
+    # a radicand with a prime factor 3 (mod 4) has an even full period, and
+    # the progression route reads the parity of exactly the other radicands
+    from sympy import primefactors
+
+    def has_3_mod_4_factor(d):
+        return any(p % 4 == 3 for p in primefactors(d))
+
+    squarefree = [d for d in range(2, 20501) if is_squarefree(d)]
+    odd = {d for d in squarefree if len(linear_cf_walk(d)[1]) % 2}
+    assert not any(has_3_mod_4_factor(d) for d in odd)
+    kept = [d for d in squarefree if not has_3_mod_4_factor(d)]
+    assert len(kept) == 2991 and len(odd) == 2443 and odd <= set(kept)
+    read = []
+    monkeypatch.setattr(survey, "period_is_odd", lambda d: read.append(d) or d in odd)
+    assert negative_pell(20500) == sorted(odd)
+    assert read == kept
+
+
 def test_negative_pell_builds_fields_only_for_odd_periods():
     # the parity is read from the radicand first: a context is built (and
     # trial-divided) only for the radicands the sweep returns

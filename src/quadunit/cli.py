@@ -260,6 +260,8 @@ def _cmd_ideals(ns: argparse.Namespace) -> int:
 
 def _cmd_progression(ns: argparse.Namespace) -> int:
     pair = IndexPair(ns.mu, ns.j, ns.y, ns.x)
+    if ns.k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {ns.k_max}")
     prog = build_progression(pair, ns.scan_limit)
     flags = squarefree_flags(prog, ns.k_max) if ns.k_max > 0 else bytearray()
     return _emit(ns, doc={

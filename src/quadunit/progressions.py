@@ -514,10 +514,12 @@ def coverage_report(mu: int, t_max: int, y_max: int, k_max: int) -> CoverageRepo
     1 < T <= t_max, read from :func:`trace_kernels`.  A witness d is
     covered when d = element(k) of some started progression with
     y <= y_max and 0 <= k <= k_max, and an exception when it only appears
-    in exceptions lists.  mu is checked as for :class:`IndexPair`, before
-    any trace is scanned.
+    in exceptions lists.  mu is checked as for :class:`IndexPair`, and
+    k_max < 0 raises ValueError, before any trace is scanned.
     """
     _check_mu(mu)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     witnesses: dict[int, int] = {}
     for t, d, _ in trace_kernels(mu, 2, t_max):
         witnesses.setdefault(d, t)

@@ -31,7 +31,7 @@ from .arith import (
     squarefree_integers_upto,
     trial_bound,
 )
-from .contfrac import CFExpansion, expand_omega, fundamental_unit, period_is_odd, regulator
+from .contfrac import expand_omega, fundamental_unit, period_is_odd, regulator
 from .ideals import mu_below_omega, principal_basis
 from .progressions import build_progression, pair_of, trace_kernels
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
@@ -436,25 +436,16 @@ def theorem_bound_sweep(
     envelope is reported; regulators come from the half-period continued
     fraction walk (certified well below 1e-9 relative error).
 
-    The traces are swept in ``SHARDS_PER_JOB * jobs`` contiguous ascending
-    chunks, one after another, or on a pool of ``jobs`` processes when
-    jobs > 1.  The cost of a trace grows with T, so each worker gets
-    several small chunks rather than one large one.  Rows merge in chunk
-    order, so the report does not depend on jobs, and every chunk runs
-    under the trial bound in force for this call.  A NaN or infinite
-    probe constant (it would print as non-JSON and make the violation
-    count meaningless), a bad mu and jobs < 1 raise ValueError before any
-    chunk runs.
+    The traces are swept by :func:`_sweep`, so the report does not depend
+    on jobs.  A NaN or infinite probe constant (it would print as non-JSON
+    and make the violation count meaningless), a bad mu and jobs < 1 raise
+    ValueError before any chunk runs.
     """
     if not math.isfinite(probe_constant):
         raise ValueError(f"probe_constant must be finite, got {probe_constant}")
     if mu < 2 or not is_squarefree(mu):
         raise ValueError(f"mu must be a square-free integer >= 2, got {mu}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    bound = trial_bound()
-    tasks = [(mu, lo, hi, bound) for lo, hi in _shard(t_min, t_max, jobs * SHARDS_PER_JOB)]
-    rows = [r for part in _pool_map(_bound_chunk, tasks, jobs) for r in part]
+    rows = _sweep(_bound_rows, (mu,), t_min, t_max, jobs)
     if not rows:
         raise ValueError(f"no admissible traces at or below {t_max}")
     residuals = sorted(r.residual for r in rows)
@@ -480,30 +471,39 @@ def theorem_bound_sweep(
     )
 
 
-def _pool_map(fn, tasks: list, jobs: int) -> list:
-    """``[fn(t) for t in tasks]``, in task order: on a pool of ``jobs``
-    processes when jobs > 1, else in this process.  ``fn`` and the tasks
-    are pickled for the pool, so ``fn`` is a module-level function and
-    each task carries all the state it needs, the trial bound included."""
+def _sweep(chunk, args: tuple, lo: int, hi: int, jobs: int) -> list:
+    """``chunk(*args, a, b)`` over ``SHARDS_PER_JOB * jobs`` contiguous
+    ascending chunks [a, b] of [lo, hi], joined in chunk order.
+
+    The chunks run one after another, or on a pool of ``jobs`` processes
+    when jobs > 1.  A chunk costs more the higher its values, so each
+    worker gets several small chunks rather than one large one.  The join
+    does not depend on jobs, and every chunk runs under the trial bound in
+    force for this call (:func:`_run_chunk`).  ``chunk`` and ``args`` are
+    pickled for the pool, so ``chunk`` is a module-level function.
+    jobs < 1 raises ValueError before any chunk runs.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    bound = trial_bound()
+    size = max(1, -(-(hi - lo + 1) // (SHARDS_PER_JOB * jobs)))
+    tasks = [(chunk, args, a, min(hi, a + size - 1), bound) for a in range(lo, hi + 1, size)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return list(map(fn, tasks))
+            parts = list(pool.map(_run_chunk, tasks))
+    else:
+        parts = map(_run_chunk, tasks)
+    return [item for part in parts for item in part]
 
 
-def _shard(lo: int, hi: int, count: int) -> list[tuple[int, int]]:
-    """At most ``count`` contiguous chunks of [lo, hi], ascending."""
-    size = max(1, -(-(hi - lo + 1) // count))
-    return [(a, min(hi, a + size - 1)) for a in range(lo, hi + 1, size)]
-
-
-def _bound_chunk(args) -> list[BoundRow]:
-    """One chunk ``(mu, lo, hi, bound)`` of the sweep, under its trial bound."""
-    mu, lo, hi, bound = args
+def _run_chunk(task) -> list:
+    """One chunk ``(chunk, args, a, b, bound)`` of a sweep:
+    ``chunk(*args, a, b)`` under its trial bound."""
+    chunk, args, a, b, bound = task
     with factor_budget(bound):
-        return _bound_rows(mu, lo, hi)
+        return chunk(*args, a, b)
 
 
 def _bound_rows(mu: int, t_min: int, t_max: int) -> list[BoundRow]:
@@ -542,62 +542,50 @@ def rank_correlation(values) -> float:
 def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> list[int]:
     """Square-free d <= n_bound whose fundamental unit has norm -1, ascending.
 
-    route="cf": the period parity criterion (odd period of w[d]), read
-    from a CFExpansion built outside the expand_omega cache, for every d.
+    route="cf": the period parity criterion (odd period of w[d]), read by
+    :func:`period_is_odd` for every square-free d.
     route="progression": drops d with a prime factor p = 3 (mod 4), then
-    reads the period parity (:func:`period_is_odd`) and skips even l; only
-    for odd l does it build the unit, raise AssertionError unless
-    N(eps_d) = -1, and re-derive d as a member of the mu = -1 progression
-    seeded by the unit's own index pair.  The drop is exact: N(eps_d) = -1
-    with eps_d = (u + v sqrt d)/2 gives u^2 - v^2 d = -4, so for odd p | d,
+    reads the period parity of the rest and skips even l; only for odd l
+    does it build the unit, raise AssertionError unless N(eps_d) = -1, and
+    re-derive d as a member of the mu = -1 progression seeded by the
+    unit's own index pair.  The drop is exact: N(eps_d) = -1 with
+    eps_d = (u + v sqrt d)/2 gives u^2 - v^2 d = -4, so for odd p | d,
     u^2 = -4 (mod p) with p not dividing u, -1 is a square mod p and p = 1 (mod 4).
 
-    The radicands 2..n_bound are swept in ``SHARDS_PER_JOB * jobs``
-    contiguous ascending chunks (:func:`_pell_chunk`), one after another,
-    or on a pool of ``jobs`` processes when jobs > 1.  Chunks are
-    concatenated in chunk order, so the list does not depend on jobs, and
-    every chunk runs under the trial bound in force for this call.  A
-    bound below 2, an unknown route and jobs < 1 raise ValueError before
-    any chunk runs.
+    The radicands 2..n_bound are swept by :func:`_sweep`, so the list
+    does not depend on jobs.  A bound below 2, an unknown route and
+    jobs < 1 raise ValueError before any chunk runs.
     """
     if n_bound < 2:
         raise ValueError("bound must be >= 2")
     if route not in ("cf", "progression"):
         raise ValueError(f"unknown route {route!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    bound = trial_bound()
-    tasks = [(route, lo, hi, bound) for lo, hi in _shard(2, n_bound, jobs * SHARDS_PER_JOB)]
-    return [d for part in _pool_map(_pell_chunk, tasks, jobs) for d in part]
+    return _sweep(_pell_chunk, (route,), 2, n_bound, jobs)
 
 
-def _pell_chunk(args) -> list[int]:
-    """One chunk ``(route, lo, hi, bound)`` of the negative Pell sweep:
-    its radicands in [lo, hi], ascending, under its trial bound.  The
-    progression route first clears multiples of primes p = 3 (mod 4)."""
-    route, lo, hi, bound = args
-    with factor_budget(bound):
-        flags = squarefree_integers_upto(hi)
+def _pell_chunk(route: str, lo: int, hi: int) -> list[int]:
+    """The radicands in [lo, hi] of the negative Pell sweep, ascending.
+    The progression route first clears multiples of primes p = 3 (mod 4),
+    and checks each radicand it keeps against its unit right after the
+    parity read, while the walk memo still holds that radicand's walk."""
+    flags = squarefree_integers_upto(hi)
+    if route == "progression":
+        # a composite p was cleared by its smaller prime factor 3 (mod 4)
+        for p in range(3, hi + 1, 4):
+            if flags[p]:
+                flags[p::p] = bytes(len(range(p, hi + 1, p)))
+    out = []
+    for d in range(lo, hi + 1):
+        if not (flags[d] and period_is_odd(d)):
+            continue
         if route == "progression":
-            # a composite p was cleared by its smaller prime factor 3 (mod 4)
-            for p in range(3, hi + 1, 4):
-                if flags[p]:
-                    flags[p::p] = bytes(len(range(p, hi + 1, p)))
-        out = []
-        for d in range(lo, hi + 1):
-            if not flags[d] or (route == "progression" and not period_is_odd(d)):
-                continue
             ctx = field_context(d)
-            if route == "cf":
-                if CFExpansion(ctx).l % 2:
-                    out.append(d)
-                continue
             eps = fundamental_unit(ctx)  # the memo holds the parity's walk
             if eps.norm() != -1:
                 raise AssertionError(f"period of w[{d}] is odd but N(eps_d) = {eps.norm()}")
             _assert_unit_progression_membership(ctx, eps)
-            out.append(d)
-        return out
+        out.append(d)
+    return out
 
 
 def _assert_unit_progression_membership(ctx: FieldContext, eps: QuadInt) -> None:

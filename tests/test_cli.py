@@ -180,6 +180,9 @@ def test_usage_errors(monkeypatch, capsys):
     # pairs checks mu as coverage does, also when y_max leaves nothing to scan
     for mu, y_max in (("4", "0"), ("0", "0"), ("4", "3"), ("-12", "5")):
         cases.append((("pairs", mu, "0", y_max), f"mu must be a nonzero square-free integer, got {mu}"))
+    # a negative --k-max is rejected before any scan, as density rejects 0
+    cases.append((("coverage", "2", "--t-max", "10", "--k-max", "-1"), "k_max must be >= 0, got -1"))
+    cases.append((("progression", "2", "0", "7", "3", "--k-max", "-1"), "k_max must be >= 0, got -1"))
     for argv, message in cases:
         assert run_cli(*argv, capsys=capsys) == (2, "", f"usage error: {message}\n"), argv
     with pytest.raises(SystemExit) as exc:
@@ -407,8 +410,8 @@ def test_parallel_bound_sweep_keeps_the_budget(monkeypatch, capsys):
     assert run_cli(*argv, capsys=capsys) == serial
     assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
     with pytest.raises(UnfactoredError):
-        survey._bound_chunk((2, 2, 200, 10))
-    assert survey._bound_chunk((2, 2, 200, 10**6)) == survey._bound_rows(2, 2, 200)
+        survey._run_chunk((survey._bound_rows, (2,), 2, 200, 10))
+    assert survey._run_chunk((survey._bound_rows, (2,), 2, 200, 10**6)) == survey._bound_rows(2, 2, 200)
 
 
 def test_parallel_pell_keeps_the_budget(monkeypatch, capsys):
@@ -422,7 +425,7 @@ def test_parallel_pell_keeps_the_budget(monkeypatch, capsys):
     assert run_cli(*argv, capsys=capsys) == serial
     assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
     with pytest.raises(UnfactoredError):
-        survey._pell_chunk(("progression", 2, 2000, 10))
+        survey._run_chunk((survey._pell_chunk, ("progression",), 2, 2000, 10))
 
 
 def test_factor_budget_flag_does_not_leak(capsys):

@@ -225,9 +225,12 @@ def test_one_trial_division_pass():
 
 
 def test_one_sweep_pool():
-    # the bound and pell sweeps share one process pool, in one helper
+    # the bound and pell sweeps share one driver: it alone starts the pool,
+    # and every chunk enters its trial budget in one place
     found = _uses("ProcessPoolExecutor")
-    assert found and set(found) == {"survey.py._pool_map"}, found
+    assert found and set(found) == {"survey.py._sweep"}, found
+    budget = [scope for scope in _uses("factor_budget") if scope.startswith("survey.py.")]  # not the import
+    assert budget and set(budget) == {"survey.py._run_chunk"}, budget
 
 
 def test_cli_import_leaves_the_pool_out():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quadunit import contfrac, survey
-from quadunit.arith import BudgetError, is_square, is_squarefree, trial_bound
+from quadunit.arith import BudgetError, is_square, is_squarefree
 from quadunit.contfrac import fundamental_unit
 from quadunit.progressions import trace_kernels
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
@@ -349,6 +349,7 @@ def test_negative_pell_routes_agree():
     assert negative_pell(500, route="cf") == negative_pell(500, route="progression")
     # a real 2-process pool joins its chunks into the same list
     assert negative_pell(500, jobs=2) == negative_pell(500) == negative_pell(500, route="cf")
+    assert negative_pell(500, route="cf", jobs=2) == negative_pell(500)
 
 
 def test_negative_pell_matches_the_full_period_parity():
@@ -386,13 +387,16 @@ def test_negative_pell_builds_fields_only_for_odd_periods():
     contfrac._half_cycle.cache_clear()
     found = negative_pell(20500)
     assert field_context.cache_info().misses == len(found)
+    # the cf route reads the parity alone and builds no context at all
+    negative_pell(20500, route="cf")
+    assert field_context.cache_info().misses == len(found)
 
 
 def test_negative_pell_rejects_a_unit_against_its_parity(monkeypatch):
     # an odd period with a unit of norm +1 is a fault, never a skip
     monkeypatch.setattr(survey, "fundamental_unit", lambda ctx: fundamental_unit(ctx) ** 2)
     with pytest.raises(AssertionError, match="is odd but N"):
-        survey._pell_chunk(("progression", 2, 50, trial_bound()))
+        survey._pell_chunk("progression", 2, 50)
 
 
 def test_ramified_identity_sweep():

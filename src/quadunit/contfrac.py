@@ -99,7 +99,7 @@ MAX_CF_STEPS = 10**6
 
 
 @lru_cache(maxsize=1)  # the last walk only: at MAX_CF_STEPS one walk holds about 100 MB
-def _half_cycle(d: int, max_steps: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
+def _half_cycle(d: int, max_steps: int) -> tuple[list[int], list[int], list[int], bool]:
     """(a_0..a_{j-1}, P_0..P_j, Q_0..Q_j, odd) of w[d] up to the midpoint state j.
 
     Walks the (P, Q) recurrence from the initial state to the palindromic
@@ -107,7 +107,8 @@ def _half_cycle(d: int, max_steps: int) -> tuple[tuple[int, ...], tuple[int, ...
     l = 2j - 1 (else l = 2j - 2).  Raises BudgetError after max_steps
     steps.  Callers pass the radicand of a FieldContext and MAX_CF_STEPS,
     read at call time, so the memo never answers a lowered budget with a
-    walk made under a higher one.
+    walk made under a higher one.  The three lists are the memo's own, not
+    copies: callers index, slice and iterate them and must not mutate them.
     """
     sf = isqrt(d)
     P, Q = (1, 2) if d % 4 == 1 else (0, 1)
@@ -120,7 +121,7 @@ def _half_cycle(d: int, max_steps: int) -> tuple[tuple[int, ...], tuple[int, ...
         Ps.append(P_next)
         Qs.append(Q_next)
         if Q_next == Q or P_next == P:
-            return tuple(quotients), tuple(Ps), tuple(Qs), Q_next == Q
+            return quotients, Ps, Qs, Q_next == Q
         P, Q = P_next, Q_next
     raise BudgetError(f"period of w[{d}] not closed within {max_steps} steps")
 
@@ -134,7 +135,7 @@ def period_is_odd(d: int) -> bool:
     return _half_cycle(d, MAX_CF_STEPS)[3]
 
 
-def _period_states(P: tuple[int, ...], Q: tuple[int, ...], k: int):
+def _period_states(P: list[int], Q: list[int], k: int):
     """(P_1..P_l, Q_1..Q_l), in period order, as iterators over the half
     walk's P_0..P_j and Q_0..Q_j, where k = l - j states follow the
     midpoint: P_{j+i} = P_{k+1-i} and Q_{j+i} = Q_{k-i} for i = 1..k."""
@@ -178,7 +179,7 @@ class CFExpansion:
         """(a_n, P_{n+1}, Q_{n+1}, nu_n) for n = 0 .. l - 1, in order.
 
         The same data as partial_quotient(n), state(n + 1) and nu(n), read
-        straight from the half walk's tuples: for n < j they are the walk's
+        straight from the half walk's lists: for n < j they are the walk's
         own a_n, P_{n+1}, Q_{n+1}; past the midpoint, n = l - m for
         m = k .. 1 (k = l - j) gives a_n = a_m, P_{n+1} = P_m and
         Q_{n+1} = Q_{m-1}.  nu_n = e Q_{n+1} / 2 as in :meth:`nu`.

@@ -98,9 +98,12 @@ def index_pairs(mu: int, j: int, y_max: int) -> list[IndexPair]:
     For even y the congruence determining the parameter class is soluble
     only under the sharper condition x^2 = mu (mod 2y); even-y pairs
     failing it represent no quadratic integer and are omitted.  mu is
-    checked as for :class:`IndexPair`, before any y is scanned.
+    checked as for :class:`IndexPair`, and y_max < 0 raises ValueError,
+    before any y is scanned.
     """
     _check_mu(mu)
+    if y_max < 0:
+        raise ValueError(f"y_max must be >= 0, got {y_max}")
     out = []
     for y in range(1, y_max + 1):
         if j == 1 and y % 2 == 0:
@@ -212,7 +215,10 @@ def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression
     fundamental unit (witness <= eps passes; for |mu| != 1 equality cannot
     occur, for mu = +-1 the witness may equal eps itself).  Failures are
     recorded as exceptions; non-square-free values pass through untested.
+    scan_limit < 1 raises ValueError before any candidate is scanned.
     """
+    if scan_limit < 1:
+        raise ValueError(f"scan_limit must be >= 1, got {scan_limit}")
     n0, modulus = solve_n0(pair)
     exceptions = []
     for step in range(scan_limit):
@@ -515,9 +521,11 @@ def coverage_report(mu: int, t_max: int, y_max: int, k_max: int) -> CoverageRepo
     covered when d = element(k) of some started progression with
     y <= y_max and 0 <= k <= k_max, and an exception when it only appears
     in exceptions lists.  mu is checked as for :class:`IndexPair`, and
-    k_max < 0 raises ValueError, before any trace is scanned.
+    y_max < 0 or k_max < 0 raises ValueError, before any trace is scanned.
     """
     _check_mu(mu)
+    if y_max < 0:
+        raise ValueError(f"y_max must be >= 0, got {y_max}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     witnesses: dict[int, int] = {}

@@ -14,11 +14,10 @@ other: the test suite counts E_mu field by field from the first.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from heapq import merge
 
 from .arith import (
     BudgetError,
@@ -166,9 +165,9 @@ def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
     Scans traces and both signed norms, reading each discriminant's
     square-free kernel from :func:`trace_kernels`, and tests minimality
     on each candidate itself (:func:`_within_unit`), with no unit table.
-    Entries come sorted by (value, trace, signed_norm), a block of traces
-    at a time: see :func:`_e_mu_trace`.  A bad mu raises ValueError here,
-    before the first entry is asked for.
+    Entries come sorted by (value, trace, signed_norm), merged from the
+    two norms' trace-ascending scans: see :func:`_e_mu_trace`.  A bad mu
+    raises ValueError here, before the first entry is asked for.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
@@ -215,22 +214,6 @@ def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
     return sign_plus_sqrt(m * x.denominator - 2 * x.numerator, f * x.denominator, d) < 0
 
 
-# Traces the E_mu stream scans, from both norms, before it emits what is final.
-E_MU_BLOCK = 512
-
-
-def _trace_blocks(scan, start: int, step: int):
-    """Lists of a trace-ascending scan's items, one per block of ``step``
-    traces from ``start``; a block with no items is an empty list."""
-    block, end = [], start + step
-    for item in scan:
-        while item[0] >= end:
-            yield block
-            block, end = [], end + step
-        block.append(item)
-    yield block
-
-
 def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
     """The candidates xi = (m + f sqrt d)/2 of norm sigma = +-mu with
     1 < xi < x and xi <= eps_d, sorted by (value, trace, signed_norm).
@@ -251,42 +234,41 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
     Raw signs on (m, f, d), not qi_compare: this runs for every candidate
     of the trace scan, and a QuadInt per candidate would slow the scan.
 
-    Both norms are scanned together, E_MU_BLOCK traces at a time.  Once
-    every trace below ``end`` is scanned, a candidate still to come has
-    trace m >= end and so value xi > m - mu >= end - mu.  Its float value
-    (m + f*sqrt(d))/2 is off from xi by a few ulps, far below 1 for any
-    feasible x, so it is above end - mu - 1.  Every kept entry whose float
-    value is below end - mu - 1 therefore sorts before all that is still
-    to come, and is emitted; the rest wait, about 2*mu + 2 traces' worth.
-    No two entries share (value, trace, signed_norm): trace and norm fix
-    f^2 d = m^2 - 4 sigma, hence d and f.
+    Order.  Within one norm xi = (m + sqrt(m^2 - 4 sigma))/2 rises with m:
+    its derivative (1 + m/sqrt(m^2 - 4 sigma))/2 is positive for every m
+    when sigma = -mu, and for sigma = +mu the scan yields only
+    m > 2 sqrt(mu).  trace_kernels yields m ascending, so each norm's
+    kept candidates come in value order, and merging the two streams
+    sorts them all.  The float value (m + f*sqrt(d))/2 is off from xi by
+    at most about 2^-53 (|m| + 3 xi).  For sigma = -mu, xi is convex in m,
+    so the closest kept neighbours are its lowest traces, m = 2 - mu and
+    3 - mu, about 1/mu apart; from m = 0 on, and for sigma = +mu, they
+    are at least 1/2 apart.  For mu <= 2^24 and x < 2^48 each gap is over ten
+    times the two floats' error (and the norm -mu sieve spans over 2^25
+    traces), so float values keep the exact order and the merge gives
+    the same list as one sort by (value, trace, signed_norm).  No two
+    entries share that key: trace and norm fix f^2 d = m^2 - 4 sigma,
+    hence d and f.
     """
     if x <= 1:
         return
     m_max = int(x) + mu + 2
     m_below = int(x) - mu  # m <= m_below: xi < m + mu <= x
+
+    def kept(sigma, scan):
+        for m, d, f in scan:
+            if m < 1 and sign_plus_sqrt(m - 2, f, d) <= 0:
+                continue  # not above 1
+            if m > m_below and not _below_bound(m, f, d, x):
+                continue
+            if _within_unit(m, f, d, mu):
+                yield (m + f * math.sqrt(d)) / 2.0, m, sigma, d, f
+
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
-    scans = [_trace_blocks(trace_kernels(sigma, m_min, m_max), -mu, E_MU_BLOCK)
-             for sigma, m_min in ((mu, 0), (-mu, -mu))]
-    pending = []  # (value, m, sigma, d, f) of kept candidates not yet emitted
-    end = -mu
-    for blocks in zip_longest(*scans, fillvalue=()):
-        end += E_MU_BLOCK
-        for sigma, block in zip((mu, -mu), blocks):
-            for m, d, f in block:
-                if m < 1 and sign_plus_sqrt(m - 2, f, d) <= 0:
-                    continue  # not above 1
-                if m > m_below and not _below_bound(m, f, d, x):
-                    continue
-                if _within_unit(m, f, d, mu):
-                    pending.append(((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f))
-        pending.sort()
-        final = bisect_left(pending, (end - mu - 1,))  # value < end - mu - 1
-        for value, m, sigma, d, f in pending[:final]:
-            yield EMuEntry(value, d, m, sigma, f)
-        del pending[:final]
-    for value, m, sigma, d, f in pending:
+    streams = [kept(sigma, trace_kernels(sigma, m_min, m_max))
+               for sigma, m_min in ((mu, 0), (-mu, -mu))]
+    for value, m, sigma, d, f in merge(*streams):
         yield EMuEntry(value, d, m, sigma, f)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadunit import cli, contfrac, quadfield, survey
+from quadunit import cli, contfrac, progressions, quadfield, survey
 from quadunit.arith import UnfactoredError, factor_budget
 from quadunit.cli import main
 
@@ -183,6 +183,15 @@ def test_usage_errors(monkeypatch, capsys):
     # a negative --k-max is rejected before any scan, as density rejects 0
     cases.append((("coverage", "2", "--t-max", "10", "--k-max", "-1"), "k_max must be >= 0, got -1"))
     cases.append((("progression", "2", "0", "7", "3", "--k-max", "-1"), "k_max must be >= 0, got -1"))
+    # a scan limit below 1 and a negative y_max are usage errors, not budget
+    # errors or empty tables
+    for limit in ("-3", "0"):
+        cases.append((("progression", "2", "0", "7", "3", "--scan-limit", limit),
+                      f"scan_limit must be >= 1, got {limit}"))
+    cases.append((("coverage", "2", "--y-max", "-1"), "y_max must be >= 0, got -1"))
+    cases.append((("pairs", "2", "0", "-5"), "y_max must be >= 0, got -5"))
+    monkeypatch.setattr(progressions, "_candidate", no_sweep)
+    monkeypatch.setattr(progressions, "trace_kernels", no_sweep)
     for argv, message in cases:
         assert run_cli(*argv, capsys=capsys) == (2, "", f"usage error: {message}\n"), argv
     with pytest.raises(SystemExit) as exc:

@@ -189,6 +189,22 @@ def test_e_mu_keeps_no_unit_map():
     assert scans == ["survey.py", "survey.py._e_mu_trace", "survey.py.f_mu", "survey.py._bound_rows"], scans
 
 
+def test_e_mu_merges_two_scans():
+    # each norm's kept candidates already come in value order, so the E_mu
+    # stream merges the two scans: no sort, no emit window, no block size
+    trees = dict(_library_trees())
+    trace = next(fn for fn in ast.walk(trees["survey.py"])
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_e_mu_trace")
+    calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+             for node in ast.walk(trace) if isinstance(node, ast.Call)
+             and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "merge" in calls and not calls & {"sort", "sorted", "bisect_left"}, calls
+    defined = [node.lineno for node in ast.walk(trees["survey.py"])
+               if (isinstance(node, ast.FunctionDef) and node.name == "_trace_blocks")
+               or (isinstance(node, ast.Name) and node.id == "E_MU_BLOCK")]
+    assert defined == []
+
+
 def test_cli_reads_e_mu_as_a_stream():
     # survey e-mu writes its rows from e_mu_stream: reading a report's
     # entries would hold them all before the first row

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadunit import progressions
 from quadunit.arith import factorize, introot, is_prime, is_square, is_squarefree, primes_up_to, squarefree_kernel
 from quadunit.progressions import (
     IndexPair,
@@ -64,6 +65,10 @@ def test_index_pairs_examples():
     for mu, j, y_max in ((4, 0, 0), (0, 0, 0), (0, 1, 5), (-12, 0, 3)):
         with pytest.raises(ValueError, match=f"^mu must be a nonzero square-free integer, got {mu}$"):
             index_pairs(mu, j, y_max)
+    # a negative y_max is rejected; y_max = 0 is an empty scan
+    with pytest.raises(ValueError, match="^y_max must be >= 0, got -5$"):
+        index_pairs(2, 0, -5)
+    assert index_pairs(2, 0, 0) == []
 
 
 def test_solve_n0_examples():
@@ -101,9 +106,18 @@ def test_build_progression_worked_cases():
     assert prog.element(2) == 149
 
 
-def test_build_progression_budget():
+def test_build_progression_budget(monkeypatch):
     with pytest.raises(ScanBudgetError):
         build_progression(IndexPair(2, 0, 7, 3), scan_limit=1)
+
+    # a scan limit below 1 is a usage error, raised before any candidate
+    def no_scan(*args):
+        raise AssertionError("a candidate was scanned")
+
+    monkeypatch.setattr(progressions, "_candidate", no_scan)
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match=f"^scan_limit must be >= 1, got {limit}$"):
+            build_progression(IndexPair(2, 0, 7, 3), scan_limit=limit)
 
 
 def test_progression_norm_identity():
@@ -510,6 +524,10 @@ def test_coverage_small():
     for mu, t_max, y_max in ((0, 200, 300), (9, 12, 0), (9, 1, 300), (-12, 12, 0)):
         with pytest.raises(ValueError, match=rf"^mu must be a nonzero square-free integer, got {mu}$"):
             coverage_report(mu, t_max, y_max, 10)
+    # a negative y_max is rejected; y_max = 0 leaves every witness uncovered
+    with pytest.raises(ValueError, match="^y_max must be >= 0, got -1$"):
+        coverage_report(2, 10, -1, 10)
+    assert {r.status for r in coverage_report(2, 10, 0, 10).rows} == {"uncovered"}
 
 
 def test_exceptions_for_mu2_d2():

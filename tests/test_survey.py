@@ -236,10 +236,12 @@ def test_within_unit_matches_the_unit_map(monkeypatch):
 
 
 def test_e_mu_stream_matches_sorted_oracle():
-    # the block-sorted stream is the oracle's kept candidates under one
-    # full sort by (value, trace, signed_norm)
+    # the merged stream is the oracle's kept candidates under one full sort
+    # by (value, trace, signed_norm); at mu = 10007 the low traces of norm
+    # -mu give the closest values, about 1/mu apart
     xs = (Fraction(11, 10), 2, Fraction(7, 2), 100, 1000, Fraction(4001, 3))
     cases = [(mu, x) for mu in (1, 2, 3, 5, 7, 997) for x in xs] + [(2, 2 * 10**4), (3, 2 * 10**4)]
+    cases += [(10007, 100), (10007, Fraction(4001, 3))]
     for mu, x in cases:
         kept = [((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f)
                 for m, sigma, d, f, passed in e_mu_consider(mu, x) if passed == 3]
@@ -248,7 +250,7 @@ def test_e_mu_stream_matches_sorted_oracle():
 
 
 def test_e_mu_stream_holds_no_whole_list():
-    # reading the stream holds a block of entries, not every entry (E_mu's
+    # reading the stream holds the two merge heads, not every entry (E_mu's
     # report does) or a tuple per field
     import tracemalloc
 

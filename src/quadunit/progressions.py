@@ -58,6 +58,8 @@ class ScanBudgetError(BudgetError):
 
 
 def _check_mu(mu: int) -> None:
+    if mu in (1, -1):
+        return  # square-free: no trial division for the unit norms
     # 0 first: is_squarefree raises on it
     if mu == 0 or not is_squarefree(mu):
         raise ValueError(f"mu must be a nonzero square-free integer, got {mu}")
@@ -220,23 +222,62 @@ def build_progression(pair: IndexPair, scan_limit: int = 100_000) -> Progression
     if scan_limit < 1:
         raise ValueError(f"scan_limit must be >= 1, got {scan_limit}")
     n0, modulus = solve_n0(pair)
+    return _scan_start(pair, n0, modulus, scan_limit, lambda c: squarefree_kernel(c)[1] == 1)
+
+
+def unit_progression(pair: IndexPair, n: int, unit: QuadInt, flags) -> Progression:
+    """``build_progression(pair)`` for the pair of a fundamental unit, from
+    two facts its caller already holds.
+
+    unit is eps_d, d = unit.ctx.d, and (pair, n) is
+    ``pair_of(mu, *unit.half_coords())``, so xi(n) is the unit.  flags[c]
+    must say whether c is square-free for every candidate c = d(n') >= 2
+    with n' < n; the scan reads no other entry.  Each square-free
+    candidate before n is compared exactly with its own fundamental
+    unit, as in :func:`build_progression`; only the trial division is
+    gone.  At n the scan checks that xi(n) is the unit, so its norm is mu
+    by the candidate identity, and it passes the comparison with eps_d
+    itself: the scan stops there at the latest, with no field context,
+    unit, norm or comparison.  The result is the Progression
+    build_progression(pair) returns.  AssertionError when n is off the
+    pair's grid or xi(n) is not the unit.
+    """
+    n0, modulus = solve_n0(pair)
+    steps, r = divmod(n - n0, modulus)
+    if steps < 0 or r:
+        raise AssertionError(f"parameter n={n} is off the grid of {pair}")
+    return _scan_start(pair, n0, modulus, steps + 1, flags.__getitem__, unit)
+
+
+def _scan_start(pair: IndexPair, n0: int, modulus: int, steps: int, squarefree,
+                unit: QuadInt | None = None) -> Progression:
+    """The candidate loop of :func:`build_progression` and
+    :func:`unit_progression`: n = n0 + step * modulus for step < steps,
+    square-freeness of each candidate d >= 2 decided by squarefree(d).  A
+    unit, when given, is eps_d and must be the witness of the last step.
+    """
+    c = 2 - pair.j
+    v = c * pair.y
     exceptions = []
-    for step in range(scan_limit):
+    for step in range(steps):
         n = n0 + step * modulus
         dval, u = _candidate(pair, n)
-        if dval < 2:
+        if unit is not None and step == steps - 1:
+            if (u, v, dval) != (*unit.half_coords(), unit.ctx.d):
+                raise AssertionError(f"witness at n={n} is not the unit {unit} for {pair}")
+        elif dval < 2 or not squarefree(dval):
             continue
-        if squarefree_kernel(dval)[1] != 1:
-            continue
-        ctx = field_context(dval)
-        xi = _witness(pair, u, ctx)
-        if xi.norm() != pair.mu:
-            raise AssertionError(f"witness of norm {xi.norm()} != mu at n={n}, d={dval} for {pair}")
-        if qi_compare(xi, fundamental_unit(ctx)) <= 0:
-            return Progression(pair, n0, modulus, n, dval, u // (2 - pair.j), tuple(exceptions))
-        exceptions.append(dval)
+        else:
+            ctx = field_context(dval)
+            xi = _witness(pair, u, ctx)
+            if xi.norm() != pair.mu:
+                raise AssertionError(f"witness of norm {xi.norm()} != mu at n={n}, d={dval} for {pair}")
+            if qi_compare(xi, fundamental_unit(ctx)) > 0:
+                exceptions.append(dval)
+                continue
+        return Progression(pair, n0, modulus, n, dval, u // c, tuple(exceptions))
     raise ScanBudgetError(
-        f"phi not found within budget: {scan_limit} candidates scanned for {pair}"
+        f"phi not found within budget: {steps} candidates scanned for {pair}"
     )
 
 

@@ -32,7 +32,7 @@ from .arith import (
 )
 from .contfrac import expand_omega, fundamental_unit, period_is_odd, regulator
 from .ideals import mu_below_omega, principal_basis
-from .progressions import build_progression, pair_of, trace_kernels
+from .progressions import pair_of, trace_kernels, unit_progression
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
 
 
@@ -533,6 +533,10 @@ def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> li
     unit's own index pair.  The drop is exact: N(eps_d) = -1 with
     eps_d = (u + v sqrt d)/2 gives u^2 - v^2 d = -4, so for odd p | d,
     u^2 = -4 (mod p) with p not dividing u, -1 is a square mod p and p = 1 (mod 4).
+    The re-derivation still finds the progression's canonical start, with
+    an exact comparison for every square-free candidate below d, but it
+    reads square-freeness from the sweep's flags and takes eps_d as the
+    witness at d itself (:func:`_assert_unit_progression_membership`).
 
     The radicands 2..n_bound are swept by :func:`_sweep`, so the list
     does not depend on jobs.  A bound below 2, an unknown route and
@@ -549,7 +553,9 @@ def _pell_chunk(route: str, lo: int, hi: int) -> list[int]:
     """The radicands in [lo, hi] of the negative Pell sweep, ascending.
     The progression route first clears multiples of primes p = 3 (mod 4),
     and checks each radicand it keeps against its unit right after the
-    parity read, while the walk memo still holds that radicand's walk."""
+    parity read, while the walk memo still holds that radicand's walk.
+    The check's start scan reads those cleared flags and the unit in
+    hand, not trial division and a rebuilt unit."""
     flags = squarefree_integers_upto(hi)
     if route == "progression":
         # a composite p was cleared by its smaller prime factor 3 (mod 4)
@@ -561,22 +567,42 @@ def _pell_chunk(route: str, lo: int, hi: int) -> list[int]:
         if not (flags[d] and period_is_odd(d)):
             continue
         if route == "progression":
-            ctx = field_context(d)
-            eps = fundamental_unit(ctx)  # the memo holds the parity's walk
+            eps = fundamental_unit(field_context(d))  # the memo holds the parity's walk
             if eps.norm() != -1:
                 raise AssertionError(f"period of w[{d}] is odd but N(eps_d) = {eps.norm()}")
-            _assert_unit_progression_membership(ctx, eps)
+            _assert_unit_progression_membership(eps, flags)
         out.append(d)
     return out
 
 
-def _assert_unit_progression_membership(ctx: FieldContext, eps: QuadInt) -> None:
-    """Re-derive d from the mu = -1 progression of the unit's index pair."""
-    d = ctx.d
+def _assert_unit_progression_membership(eps: QuadInt, flags: bytearray) -> None:
+    """Re-derive d from the mu = -1 progression of the unit's index pair.
+
+    eps = eps_d has norm -1, and flags are the sweep's square-free flags
+    of 0..hi, d <= hi, cleared of every multiple of a prime p = 3 (mod 4).
+    The start scan, :func:`unit_progression`, returns the Progression
+    build_progression(pair) would, from two facts:
+
+    - the flags decide every candidate.  With (pair, n) = pair_of(-1, u, v),
+      a candidate n' < n has d(n') = (u'^2 + 4)/v^2, where
+      u' = 2x + (2n' + j) y >= 0 rises with n' up to u' = u at n, so
+      d(n') < d <= hi.  An odd prime p | u'^2 + 4 does not divide u' and
+      makes -4, hence -1, a square mod p, so p = 1 (mod 4): no prime
+      p = 3 (mod 4) divides d(n'), the clearing left its flag alone, and
+      the flag is its square-freeness;
+    - the witness at n is xi(n) = eps_d itself, which passes the
+      comparison with eps_d, so the scan stops there.
+
+    Still checked: the canonical start t, by an exact comparison of each
+    earlier square-free candidate's witness with its own fundamental
+    unit; that xi(n) is eps_d; and prog.element(prog.index(n)) = d.  Any
+    mismatch raises AssertionError.
+    """
+    d = eps.ctx.d
     found = pair_of(-1, *eps.half_coords())
     if found is None:
         raise AssertionError(f"unit of d={d} has no index pair")
     pair, n = found
-    prog = build_progression(pair)
+    prog = unit_progression(pair, n, eps, flags)
     if prog.element(prog.index(n)) != d:
         raise AssertionError(f"progression element mismatch for d={d}")

@@ -139,11 +139,13 @@ def test_one_walk_per_radicand_per_call(capsys):
     capsys.readouterr()
     assert _walks(lambda: minimal_elements(field_context(94), 2)) == 1
     assert _walks(lambda: split_identity_check(94, 3)) == 1
-    # 3,454 walks: one for each of the 2,991 square-free radicands with no
-    # prime factor 3 (mod 4), plus the candidates build_progression tests
-    # for other radicands; the 3-mod-4 sieve decides the other 9,474
-    # radicands with no walk
-    assert _walks(lambda: negative_pell(20500)) < 3_600
+    # 3,440 walks: one parity walk for each of the 2,991 square-free
+    # radicands with no prime factor 3 (mod 4), plus 449 for the earlier
+    # square-free candidates of the membership check's start scans, each
+    # after another radicand's walk has replaced the memo; the unit at d
+    # is the sweep's own, so d is not walked again.  The 3-mod-4 sieve
+    # decides the other 9,474 radicands with no walk
+    assert _walks(lambda: negative_pell(20500)) == 3_440
     # the cf route checks the sweep, so it stays unfiltered: one walk for
     # each of the 12,465 square-free radicands
     assert _walks(lambda: negative_pell(20500, route="cf")) == 12_465

@@ -297,3 +297,25 @@ def test_pair_of_takes_an_element():
                   if any(_is_half_coords_call(side) or (isinstance(side, ast.Name) and side.id in coords)
                          for side in _operands(node))]
     assert found == []
+
+
+def _loops_over_candidates(fn) -> bool:
+    """fn has a loop or comprehension whose body calls ``_candidate``."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return any(isinstance(loop, loops) and any(
+        isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_candidate"
+        for call in ast.walk(loop)) for loop in ast.walk(fn))
+
+
+def test_one_progression_start_scan():
+    # build_progression and the pell sweep's membership check share one
+    # candidate loop, so a change to how a start is decided reaches both;
+    # survey.py scans through unit_progression, not a full build_progression
+    scans = [f"{name}.{fn.name}" for name, tree in _library_trees() for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and _loops_over_candidates(fn)]
+    assert scans == ["progressions.py._scan_start"], scans
+    assert sorted(_uses("_scan_start")) == ["progressions.py.build_progression", "progressions.py.unit_progression"]
+    assert _uses("_witness") == ["progressions.py._scan_start"]
+    assert [scope for scope in _uses("build_progression") if scope.startswith("survey.py")] == []
+    assert [scope for scope in _uses("unit_progression") if scope.startswith("survey.py.")] == [
+        "survey.py._assert_unit_progression_membership"]

@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadunit import progressions
-from quadunit.arith import factorize, introot, is_prime, is_square, is_squarefree, primes_up_to, squarefree_kernel
+from quadunit.arith import (
+    factorize,
+    introot,
+    is_prime,
+    is_square,
+    is_squarefree,
+    primes_up_to,
+    squarefree_integers_upto,
+    squarefree_kernel,
+)
+from quadunit.contfrac import fundamental_unit
 from quadunit.progressions import (
     IndexPair,
     ScanBudgetError,
@@ -28,6 +38,7 @@ from quadunit.progressions import (
     squarefree_flags,
     squarefree_flags_quadratic,
     trace_kernels,
+    unit_progression,
 )
 from quadunit.quadfield import QuadInt, field_context
 
@@ -194,6 +205,32 @@ def test_unit_progressions():
     # mu = +1: (1, 0) starts at 3 = 2^2 - 1
     prog = build_progression(IndexPair(1, 0, 1, 0))
     assert prog.t == 3
+
+
+def test_unit_norms_skip_trial_division(monkeypatch):
+    # +-1 are square-free: a unit pair is checked without trial division
+    monkeypatch.setattr(progressions, "is_squarefree", lambda n: pytest.fail(f"trial division of {n}"))
+    assert pair_of(-1, 64, 10) == (IndexPair(-1, 0, 5, 2), 6)  # 32 + 5 sqrt(41)
+    assert [(p.y, p.x) for p in index_pairs(-1, 0, 9)] == [(1, 0), (5, 2), (5, 3)]
+    assert len(index_pairs(1, 1, 9)) == 9
+
+
+def test_unit_progression_checks_the_unit():
+    # eps_41 = 32 + 5 sqrt(41) sits at n = 6 of the pair (5, 2), on the grid
+    # n = 1 (mod 5); the square-free candidate 2 at n = 1 has the witness
+    # 7 + 5 sqrt(2) > eps_2, an exception, so the start is d = 41 itself
+    eps = fundamental_unit(field_context(41))
+    pair, n = pair_of(-1, *eps.half_coords())
+    flags = squarefree_integers_upto(41)
+    prog = unit_progression(pair, n, eps, flags)
+    assert prog == build_progression(pair)
+    assert (prog.t, prog.n_start, prog.exceptions) == (41, 6, (2,))
+    # a unit that is not xi(n) is a fault, and so is an n off the grid
+    with pytest.raises(AssertionError, match="is not the unit"):
+        unit_progression(pair, n, eps ** 3, flags)
+    for off in (n + 1, n - 2 * pair.ytilde):
+        with pytest.raises(AssertionError, match="off the grid"):
+            unit_progression(pair, off, eps, flags)
 
 
 def test_quadratic_roots_mod_p2():

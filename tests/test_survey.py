@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from quadunit import contfrac, survey
+from quadunit import contfrac, progressions, survey
 from quadunit.arith import BudgetError, is_square, is_squarefree
 from quadunit.contfrac import fundamental_unit
-from quadunit.progressions import trace_kernels
+from quadunit.progressions import build_progression, trace_kernels, unit_progression
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
 from quadunit.survey import (
     E_mu,
@@ -389,6 +389,9 @@ def test_negative_pell_builds_fields_only_for_odd_periods():
     contfrac._half_cycle.cache_clear()
     found = negative_pell(20500)
     assert field_context.cache_info().misses == len(found)
+    # the membership check looks up a context only for the 449 earlier
+    # square-free candidates of the unit's progression, never for d itself
+    assert field_context.cache_info().hits == 449
     # the cf route reads the parity alone and builds no context at all
     negative_pell(20500, route="cf")
     assert field_context.cache_info().misses == len(found)
@@ -399,6 +402,55 @@ def test_negative_pell_rejects_a_unit_against_its_parity(monkeypatch):
     monkeypatch.setattr(survey, "fundamental_unit", lambda ctx: fundamental_unit(ctx) ** 2)
     with pytest.raises(AssertionError, match="is odd but N"):
         survey._pell_chunk("progression", 2, 50)
+
+
+def test_unit_progression_matches_build_progression(monkeypatch):
+    # the sweep's start scan, told the chunk's flags and the unit, returns
+    # the progression a full build_progression finds, exceptions included
+    seen = []
+
+    def both(pair, n, unit, flags):
+        prog = unit_progression(pair, n, unit, flags)
+        assert prog == build_progression(pair), (unit.ctx.d, pair)
+        seen.append((prog, n))
+        return prog
+
+    monkeypatch.setattr(survey, "unit_progression", both)
+    assert len(negative_pell(21000)) == len(seen) == 2495
+    # both ends of the scan ran: starts below the unit's parameter and
+    # progressions with exceptions
+    assert sum(prog.n_start < n for prog, n in seen) == 348
+    assert sum(bool(prog.exceptions) for prog, _ in seen) == 106
+
+
+def _shifted_pair_of(steps):
+    """survey.pair_of with the unit's parameter n moved steps grid steps."""
+    def shifted(mu, u, v):
+        pair, n = progressions.pair_of(mu, u, v)
+        return pair, n + steps * pair.ytilde
+    return shifted
+
+
+@pytest.mark.parametrize("steps, match", [(1, "element mismatch"), (-1, "is not the unit|off the grid")])
+def test_negative_pell_rejects_a_unit_off_its_parameter(monkeypatch, steps, match):
+    # one grid step up, the progression's element there is not d; one step
+    # down, the start scan's last witness is not the unit (or n is below
+    # the grid)
+    monkeypatch.setattr(survey, "pair_of", _shifted_pair_of(steps))
+    with pytest.raises(AssertionError, match=match):
+        survey._pell_chunk("progression", 2, 500)
+
+
+def test_negative_pell_compares_earlier_candidates(monkeypatch):
+    # each square-free candidate below d gets its own field and witness:
+    # a witness of the wrong norm there is a fault
+    def squared(pair, u, ctx):
+        xi = QuadInt.from_half(ctx, u, (2 - pair.j) * pair.y)
+        return xi * xi
+
+    monkeypatch.setattr(progressions, "_witness", squared)
+    with pytest.raises(AssertionError, match="witness of norm 1 != mu"):
+        survey._pell_chunk("progression", 2, 500)
 
 
 def test_ramified_identity_sweep():

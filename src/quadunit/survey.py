@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
+from typing import NamedTuple
 
 from .arith import (
     BudgetError,
@@ -47,10 +48,6 @@ class MinimalRecord:
     value_approx: float
 
 
-def _record(xi: QuadInt) -> MinimalRecord:
-    return MinimalRecord(xi.ctx.d, xi, xi.trace(), xi.norm(), xi.approx())
-
-
 def minimal_elements(ctx: FieldContext, mu: int) -> list[MinimalRecord]:
     """All minimal elements of absolute norm mu, sorted by value.
 
@@ -66,7 +63,8 @@ def minimal_elements(ctx: FieldContext, mu: int) -> list[MinimalRecord]:
     else:
         found = _minimal_by_scan(ctx, mu)
     eps = fundamental_unit(ctx)
-    out = [_record(xi) for xi in found if is_minimal(xi, eps)]
+    out = [MinimalRecord(ctx.d, xi, xi.trace(), xi.norm(), xi.approx())
+           for xi in found if is_minimal(xi, eps)]
     out.sort(key=lambda r: (r.value_approx, r.trace, r.signed_norm))
     return out
 
@@ -88,21 +86,19 @@ def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
 
 
 def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
-    """Elements above 1 with |norm| = mu inside the search bound, by value.
+    """Elements above 1 with |norm| = mu and v <= vmax, by value.
 
-    The search bound covers (1, eps]: each candidate (u + v*sqrt(d))/2
-    has |value - conj| = v*sqrt(d) <= eps + mu, which bounds v; cost is
-    O(eps / sqrt(d)).  Elements above eps inside the bound are returned
-    too; :func:`minimal_elements` keeps x <= eps.  Raises BudgetError when
-    the bound exceeds 1e12.
+    For 1 < xi = (u + v sqrt d)/2 <= eps of norm +-mu, v sqrt(d) = xi -+ mu/xi
+    < eps + mu.  eps = (U + V sqrt d)/2 with U^2 <= V^2 d + 4 and V sqrt(d) >= 2
+    (V is even unless d = 1 mod 4), so eps < V sqrt(d) + 1/2 and
+    v < V + (mu + 1)/sqrt(d) < vmax.  Elements above eps are returned too;
+    :func:`minimal_elements` keeps x <= eps.  Cost is O(eps / sqrt(d)); eps
+    above 10^12 raises BudgetError.
     """
     eps = fundamental_unit(ctx)
-    bound = eps.approx() * 1.001 + mu + 2
-    if not math.isfinite(bound) or bound > 1e12:
-        raise BudgetError(
-            f"associate-class scan infeasible for d={ctx.d}: unit too large"
-        )
-    vmax = int(bound / math.sqrt(ctx.d)) + 2
+    if qi_compare(eps, 10**12) > 0:
+        raise BudgetError(f"associate-class scan infeasible for d={ctx.d}: unit too large")
+    vmax = eps.half_coords()[1] + isqrt((mu + 1) ** 2 // ctx.d) + 1
     out = []
     for v in range(1, vmax + 1):
         for target in (mu, -mu):
@@ -123,13 +119,16 @@ def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
 # E_mu: counting minimal elements across all fields
 
 
-@dataclass(frozen=True, slots=True)  # EMuReport holds up to 2x of these at once
-class EMuEntry:
+class EMuEntry(NamedTuple):
+    """xi = (trace + sqrt_coeff sqrt(d))/2 of E_mu.  The fields, in order, are
+    the merge key of :func:`_e_mu_trace`, so each kept candidate is built once,
+    as its entry; (value, trace, signed_norm) decides, as trace and norm fix d."""
+
     value: float
-    d: int
     trace: int
     signed_norm: int
-    sqrt_coeff: int  # value = (trace + sqrt_coeff * sqrt(d)) / 2
+    d: int
+    sqrt_coeff: int
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,10 @@ def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
     Scans traces and both signed norms, reading each discriminant's
     square-free kernel from :func:`trace_kernels`, and tests minimality
     on each candidate itself (:func:`_within_unit`), with no unit table.
-    Entries come sorted by (value, trace, signed_norm), merged from the
-    two norms' trace-ascending scans: see :func:`_e_mu_trace`.  A bad mu
-    raises ValueError here, before the first entry is asked for.
+    Each kept candidate is built once, as its entry.  Entries come sorted
+    by (value, trace, signed_norm), merged from the two norms'
+    trace-ascending scans: see :func:`_e_mu_trace`.  A bad mu raises
+    ValueError here, before the first entry is asked for.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
@@ -262,14 +262,12 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
             if m > m_below and not _below_bound(m, f, d, x):
                 continue
             if _within_unit(m, f, d, mu):
-                yield (m + f * math.sqrt(d)) / 2.0, m, sigma, d, f
+                yield EMuEntry((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f)
 
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
-    streams = [kept(sigma, trace_kernels(sigma, m_min, m_max))
-               for sigma, m_min in ((mu, 0), (-mu, -mu))]
-    for value, m, sigma, d, f in merge(*streams):
-        yield EMuEntry(value, d, m, sigma, f)
+    yield from merge(*[kept(sigma, trace_kernels(sigma, m_min, m_max))
+                       for sigma, m_min in ((mu, 0), (-mu, -mu))])
 
 
 # ---------------------------------------------------------------------------

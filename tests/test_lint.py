@@ -171,10 +171,12 @@ def test_cli_streams_its_output():
 
 def test_e_mu_entries_have_slots():
     # the report E_mu collects holds up to 2x entries at once: no
-    # per-instance __dict__
+    # per-instance __dict__; the fields, in order, are the E_mu stream's
+    # merge key
     from quadunit.survey import EMuEntry
 
-    assert not hasattr(EMuEntry(1.0, 2, 2, -2, 1), "__dict__")
+    assert EMuEntry._fields == ("value", "trace", "signed_norm", "d", "sqrt_coeff")
+    assert not hasattr(EMuEntry(2**0.5, 0, -2, 2, 2), "__dict__")  # sqrt(2)
 
 
 def test_e_mu_keeps_no_unit_map():
@@ -199,6 +201,18 @@ def test_e_mu_merges_two_scans():
              for node in ast.walk(trace) if isinstance(node, ast.Call)
              and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert "merge" in calls and not calls & {"sort", "sorted", "bisect_left"}, calls
+    # the merge key is the entry itself: each kept candidate is built once,
+    # as an EMuEntry inside the scan generator kept, and the merge's output
+    # is yielded as it is, not unpacked and re-built in a loop
+    kept = next(fn for fn in ast.walk(trace) if isinstance(fn, ast.FunctionDef) and fn.name == "kept")
+
+    def builds(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "EMuEntry"]
+
+    assert builds(trace) == builds(kept) != []
+    loops = [node.iter for node in ast.walk(trace) if isinstance(node, (ast.For, ast.comprehension))]
+    assert not [it for it in loops if isinstance(it, ast.Call) and getattr(it.func, "id", None) == "merge"]
     defined = [node.lineno for node in ast.walk(trees["survey.py"])
                if (isinstance(node, ast.FunctionDef) and node.name == "_trace_blocks")
                or (isinstance(node, ast.Name) and node.id == "E_MU_BLOCK")]

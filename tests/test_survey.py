@@ -238,15 +238,25 @@ def test_within_unit_matches_the_unit_map(monkeypatch):
 def test_e_mu_stream_matches_sorted_oracle():
     # the merged stream is the oracle's kept candidates under one full sort
     # by (value, trace, signed_norm); at mu = 10007 the low traces of norm
-    # -mu give the closest values, about 1/mu apart
+    # -mu give the closest values, about 1/mu apart.  Each entry is its own
+    # sort key, so the entries equal the oracle's plain tuples
     xs = (Fraction(11, 10), 2, Fraction(7, 2), 100, 1000, Fraction(4001, 3))
     cases = [(mu, x) for mu in (1, 2, 3, 5, 7, 997) for x in xs] + [(2, 2 * 10**4), (3, 2 * 10**4)]
     cases += [(10007, 100), (10007, Fraction(4001, 3))]
     for mu, x in cases:
         kept = [((m + f * math.sqrt(d)) / 2.0, m, sigma, d, f)
                 for m, sigma, d, f, passed in e_mu_consider(mu, x) if passed == 3]
-        got = [(e.value, e.trace, e.signed_norm, e.d, e.sqrt_coeff) for e in survey.e_mu_stream(mu, x)]
-        assert got == sorted(kept), (mu, x)
+        got = list(survey.e_mu_stream(mu, x))
+        assert got == sorted(kept) and all(type(e) is survey.EMuEntry for e in got), (mu, x)
+
+
+def test_e_mu_stream_walks_no_period():
+    # _within_unit finds eps_d by its g-scan, O(f + mu/d) per candidate: a
+    # continued fraction walk per scanned d costs about sqrt(d) and read
+    # about 10x slower at mu = 997, x = 5000
+    before = contfrac._half_cycle.cache_info().misses
+    list(survey.e_mu_stream(997, 5000))
+    assert contfrac._half_cycle.cache_info().misses == before
 
 
 def test_e_mu_stream_holds_no_whole_list():

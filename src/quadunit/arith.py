@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 DEFAULT_TRIAL_BOUND = 10**6
 _bound_in_force: ContextVar[int] = ContextVar("factor_budget", default=DEFAULT_TRIAL_BOUND)
@@ -137,18 +137,18 @@ def is_prime(n: int) -> bool:
 # factorization
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "pairs")):
     """Prime factorization as (prime, exponent) pairs, primes ascending."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last or e < 1:
-                raise ValueError(f"malformed factorization {self.pairs}")
+                raise ValueError(f"malformed factorization {pairs}")
             last = p
+        return super().__new__(cls, pairs)
 
     def omega(self) -> int:
         """Number of distinct prime factors."""

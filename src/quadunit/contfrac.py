@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 
@@ -58,22 +58,20 @@ from .arith import BudgetError, isqrt
 from .quadfield import FieldContext, QuadInt, sign_plus_sqrt
 
 
-@dataclass(frozen=True)
-class QuadIrr:
+class QuadIrr(namedtuple("QuadIrr", "d P Q")):
     """Exact quadratic irrational (P + sqrt(d)) / Q with Q | d - P^2."""
 
-    d: int
-    P: int
-    Q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.Q == 0:
+    def __new__(cls, d: int, P: int, Q: int):
+        if Q == 0:
             raise ValueError("Q must be nonzero")
-        r = isqrt(self.d)
-        if self.d < 2 or r * r == self.d:
-            raise ValueError(f"{self.d} is not a valid radicand")
-        if (self.d - self.P * self.P) % self.Q:
-            raise ValueError(f"Q={self.Q} does not divide d - P^2 for P={self.P}")
+        r = isqrt(d)
+        if d < 2 or r * r == d:
+            raise ValueError(f"{d} is not a valid radicand")
+        if (d - P * P) % Q:
+            raise ValueError(f"Q={Q} does not divide d - P^2 for P={P}")
+        return super().__new__(cls, d, P, Q)
 
     def as_pair(self) -> tuple[int, int]:
         return self.P, self.Q

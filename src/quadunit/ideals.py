@@ -16,7 +16,8 @@ residue class mod a because conj(w) is irrational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .arith import factorize, is_squarefree, jacobi, mod_inverse
 from .contfrac import CFExpansion, QuadIrr, expand_omega, is_reduced, total_quotient
@@ -33,17 +34,13 @@ def omega_ideal(ctx: FieldContext) -> QuadInt:
     return QuadInt.from_half(ctx, ctx.discriminant, ctx.sqrt_disc_scale)
 
 
-@dataclass(frozen=True)
-class IdealBasis:
+class IdealBasis(namedtuple("IdealBasis", "ctx a b c")):
     """Canonical basis [a, b + c*w] of an integral ideal."""
 
-    ctx: FieldContext
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        ctx, a, b, c = self.ctx, self.a, self.b, self.c
+    def __new__(cls, ctx: FieldContext, a: int, b: int, c: int):
+        self = super().__new__(cls, ctx, a, b, c)
         if a <= 0 or c <= 0:
             raise ValueError(f"need a > 0 and c > 0, got a={a}, c={c}")
         if a % c or b % c:
@@ -55,6 +52,7 @@ class IdealBasis:
         u = 2 * b + c * D
         if not (sign_plus_sqrt(u, -c * e, d) < 0 and sign_plus_sqrt(u + 2 * a, -c * e, d) > 0):
             raise ValueError(f"basis {self} violates the translation condition")
+        return self
 
     def generator_second(self) -> QuadInt:
         return omega_ideal(self.ctx).scale(self.c) + QuadInt(self.ctx, self.b, 0)
@@ -188,8 +186,7 @@ def count_reduced_formula(ctx: FieldContext, mu: int, enforce_hypothesis: bool =
     return 0
 
 
-@dataclass(frozen=True)
-class XiAlphaIndex:
+class XiAlphaIndex(NamedTuple):
     n: int
     ok: bool
     a: int

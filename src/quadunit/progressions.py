@@ -32,8 +32,9 @@ solvability criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     BudgetError,
@@ -65,29 +66,26 @@ def _check_mu(mu: int) -> None:
         raise ValueError(f"mu must be a nonzero square-free integer, got {mu}")
 
 
-@dataclass(frozen=True)
-class IndexPair:
+class IndexPair(namedtuple("IndexPair", "mu j y x")):
     """Pair (y, x) with x^2 = mu (mod y); j = 1 restricts to odd y."""
 
-    mu: int
-    j: int
-    y: int
-    x: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_mu(self.mu)
-        if self.j not in (0, 1):
-            raise ValueError(f"j must be 0 or 1, got {self.j}")
-        if self.y < 1:
-            raise ValueError(f"y must be >= 1, got {self.y}")
-        if self.j == 1 and self.y % 2 == 0:
-            raise ValueError(f"branch j=1 requires odd y, got {self.y}")
-        if not 0 <= self.x < self.y:
-            raise ValueError(f"x must lie in [0, y), got x={self.x}, y={self.y}")
-        if math.gcd(self.x, self.y) != 1:
-            raise ValueError(f"gcd(x, y) must be 1, got ({self.x}, {self.y})")
-        if (self.x * self.x - self.mu) % self.y:
-            raise ValueError(f"x^2 != mu (mod y) for ({self.y}, {self.x}), mu={self.mu}")
+    def __new__(cls, mu: int, j: int, y: int, x: int):
+        _check_mu(mu)
+        if j not in (0, 1):
+            raise ValueError(f"j must be 0 or 1, got {j}")
+        if y < 1:
+            raise ValueError(f"y must be >= 1, got {y}")
+        if j == 1 and y % 2 == 0:
+            raise ValueError(f"branch j=1 requires odd y, got {y}")
+        if not 0 <= x < y:
+            raise ValueError(f"x must lie in [0, y), got x={x}, y={y}")
+        if math.gcd(x, y) != 1:
+            raise ValueError(f"gcd(x, y) must be 1, got ({x}, {y})")
+        if (x * x - mu) % y:
+            raise ValueError(f"x^2 != mu (mod y) for ({y}, {x}), mu={mu}")
+        return super().__new__(cls, mu, j, y, x)
 
     @property
     def ytilde(self) -> int:
@@ -169,8 +167,7 @@ def _witness(pair: IndexPair, u: int, ctx: FieldContext) -> QuadInt:
     return QuadInt.from_half(ctx, u, (2 - pair.j) * pair.y)
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(NamedTuple):
     """A started progression: d(k) for k >= 0 runs over the closed form."""
 
     pair: IndexPair
@@ -397,8 +394,7 @@ def squarefree_flags(prog: Progression, k_max: int) -> bytearray:
 # density prediction
 
 
-@dataclass(frozen=True)
-class DensityPrediction:
+class DensityPrediction(NamedTuple):
     """Truncated Euler product for the square-free density of a progression."""
 
     pair: IndexPair
@@ -501,8 +497,7 @@ def _is_square_mod_prime_power(a: int, p: int, m: int) -> bool:
 # coverage of the witness radicands
 
 
-@dataclass(frozen=True)
-class WitnessStatus:
+class WitnessStatus(NamedTuple):
     d: int
     first_trace: int
     status: str  # "covered" | "exception" | "uncovered"
@@ -512,8 +507,7 @@ class WitnessStatus:
     k: int | None
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     mu: int
     t_max: int
     y_max: int

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import isqrt, squarefree_kernel, trial_bound
 
@@ -45,20 +46,20 @@ def floor_plus_sqrt_div(u: int, v: int, w: int, d: int) -> int:
     return (u + fl) // w
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(namedtuple("FieldContext", "d")):
     """A real quadratic field fixed by its square-free radicand d."""
 
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"radicand must be >= 2, got {self.d}")
-        r = isqrt(self.d)
-        if r * r == self.d:
-            raise ValueError(f"radicand {self.d} is a perfect square")
-        if squarefree_kernel(self.d)[1] != 1:
-            raise ValueError(f"radicand {self.d} is not square-free")
+    def __new__(cls, d: int):
+        if d < 2:
+            raise ValueError(f"radicand must be >= 2, got {d}")
+        r = isqrt(d)
+        if r * r == d:
+            raise ValueError(f"radicand {d} is a perfect square")
+        if squarefree_kernel(d)[1] != 1:
+            raise ValueError(f"radicand {d} is not square-free")
+        return super().__new__(cls, d)
 
     @property
     def is_half(self) -> bool:
@@ -101,13 +102,19 @@ field_context.cache_info = _field_context.cache_info
 field_context.cache_clear = _field_context.cache_clear
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple):
     """Element a + b*w[d] of the ring of integers of Q(sqrt(d))."""
 
     ctx: FieldContext
     a: int
     b: int
+
+    def _not_a_sequence(self, other):
+        return NotImplemented
+
+    # no tuple order and no repetition: x < y and k * x raise TypeError, as
+    # order is qi_compare's and scale(k) multiplies by an integer
+    __lt__ = __le__ = __gt__ = __ge__ = __rmul__ = _not_a_sequence
 
     def _require_same_field(self, other: "QuadInt") -> None:
         if self.ctx != other.ctx:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from heapq import merge
 from typing import NamedTuple
 
@@ -37,8 +37,7 @@ from .progressions import pair_of, trace_kernels, unit_progression
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
 
 
-@dataclass(frozen=True)
-class MinimalRecord:
+class MinimalRecord(NamedTuple):
     """A minimal quadratic integer of absolute norm mu in its field."""
 
     d: int
@@ -49,7 +48,8 @@ class MinimalRecord:
 
 
 def minimal_elements(ctx: FieldContext, mu: int) -> list[MinimalRecord]:
-    """All minimal elements of absolute norm mu, sorted by value.
+    """All minimal elements of absolute norm mu, sorted by exact value
+    (:func:`qi_compare`), then trace, then signed norm.
 
     For mu < w[d] - 1 these come from convergents, so one period of the
     nu_n stream suffices.  Outside that range the associate classes are
@@ -65,7 +65,8 @@ def minimal_elements(ctx: FieldContext, mu: int) -> list[MinimalRecord]:
     eps = fundamental_unit(ctx)
     out = [MinimalRecord(ctx.d, xi, xi.trace(), xi.norm(), xi.approx())
            for xi in found if is_minimal(xi, eps)]
-    out.sort(key=lambda r: (r.value_approx, r.trace, r.signed_norm))
+    out.sort(key=cmp_to_key(lambda r, s: qi_compare(r.xi, s.xi)
+                            or r.trace - s.trace or r.signed_norm - s.signed_norm))
     return out
 
 
@@ -85,20 +86,25 @@ def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
     return 4 * mu * mu < ctx.discriminant
 
 
+# Values of v the associate-class scan may try (about 1.5 s of scanning),
+# above the largest vmax of the test inputs: 442,129, at d = 94.
+MAX_SCAN_V = 2**20
+
+
 def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
-    """Elements above 1 with |norm| = mu and v <= vmax, by value.
+    """Elements above 1 with |norm| = mu and v <= vmax, in no fixed order.
 
     For 1 < xi = (u + v sqrt d)/2 <= eps of norm +-mu, v sqrt(d) = xi -+ mu/xi
     < eps + mu.  eps = (U + V sqrt d)/2 with U^2 <= V^2 d + 4 and V sqrt(d) >= 2
     (V is even unless d = 1 mod 4), so eps < V sqrt(d) + 1/2 and
     v < V + (mu + 1)/sqrt(d) < vmax.  Elements above eps are returned too;
-    :func:`minimal_elements` keeps x <= eps.  Cost is O(eps / sqrt(d)); eps
-    above 10^12 raises BudgetError.
+    :func:`minimal_elements` keeps x <= eps and sorts.  Cost is O(vmax),
+    about O(eps / sqrt(d)); vmax above MAX_SCAN_V raises BudgetError.
     """
     eps = fundamental_unit(ctx)
-    if qi_compare(eps, 10**12) > 0:
-        raise BudgetError(f"associate-class scan infeasible for d={ctx.d}: unit too large")
     vmax = eps.half_coords()[1] + isqrt((mu + 1) ** 2 // ctx.d) + 1
+    if vmax > MAX_SCAN_V:
+        raise BudgetError(f"associate-class scan infeasible for d={ctx.d}: unit too large")
     out = []
     for v in range(1, vmax + 1):
         for target in (mu, -mu):
@@ -108,11 +114,11 @@ def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
             if not is_square(sq):
                 continue
             r = isqrt(sq)
-            for u in (r, -r):
+            for u in {r, -r}:  # one element when r = 0
                 xi = QuadInt.from_half(ctx, u, v)
                 if qi_compare(xi, 1) > 0:
                     out.append(xi)
-    return sorted(set(out), key=lambda x: x.approx())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +137,7 @@ class EMuEntry(NamedTuple):
     sqrt_coeff: int
 
 
-@dataclass(frozen=True)
-class EMuReport:
+class EMuReport(NamedTuple):
     mu: int
     x_bound: Fraction
     entries: tuple[EMuEntry, ...]
@@ -274,8 +279,7 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
 # f_mu: counting distinct fields
 
 
-@dataclass(frozen=True)
-class FMuReport:
+class FMuReport(NamedTuple):
     mu: int
     n_bound: int
     count: int
@@ -307,8 +311,7 @@ def f_mu(mu: int, n_bound: int) -> FMuReport:
 # split / ramified identities
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     d: int
     p: int
     status: str  # "ok" | "hypothesis_not_met"
@@ -371,8 +374,7 @@ def _splits(ctx: FieldContext, p: int) -> bool:
 # regulator lower-bound residuals
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     trace: int
     d: int
     D: int
@@ -380,8 +382,7 @@ class BoundRow:
     residual: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     mu: int
     t_max: int
     probe_constant: float

@@ -134,6 +134,12 @@ def test_order_is_exact():
     # the float log is a report: only QuadInt.approx reads it, so no float
     # decides an order (qi_compare decides every one)
     assert _uses("log_value") == ["quadfield.py.QuadInt.approx"]
+    # and no sort key reads a float value
+    keys = [kw.value for _, node in _library_nodes() if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "key"]
+    found = [ast.unparse(key) for key in keys for node in ast.walk(key)
+             if isinstance(node, ast.Attribute) and node.attr in ("approx", "value_approx")]
+    assert keys and found == [], found
 
 
 def test_one_residual_certificate():
@@ -268,6 +274,24 @@ def test_cli_import_leaves_the_pool_out():
     code = "import sys, quadunit.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # every process start pays for what import quadunit.cli loads:
+    # dataclasses, with the inspect module it pulls in, took about a fifth
+    # of that import, before the class processing
+    code = "import sys, quadunit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_library_imports_no_dataclasses():
+    # the record types are named tuples: dataclasses would cost every
+    # process start the import and the class processing
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")]
+    assert found == []
 
 
 def _is_half_coords_call(node) -> bool:

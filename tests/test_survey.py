@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +19,14 @@ from quadunit.survey import (
     theorem_bound_sweep,
 )
 
-from oracles import e_mu_consider, e_mu_fields, linear_cf_walk, negative_pell_bruteforce, unit_map
+from oracles import (
+    e_mu_consider,
+    e_mu_fields,
+    linear_cf_walk,
+    mpmath_sign,
+    negative_pell_bruteforce,
+    unit_map,
+)
 
 
 def test_minimal_elements_examples():
@@ -81,13 +87,39 @@ def test_hypothesis_bound_helpers():
             assert below_half == (sign_plus_sqrt(-2 * mu, ctx.sqrt_disc_scale, d) > 0)
 
 
-def test_minimal_by_scan_budget_error():
-    # |norm| 14 in Q(sqrt 214) needs the associate-class scan, and eps_214
-    # is about 1.39e12, beyond the scan budget: a budget error, not a usage error
-    ctx = field_context(214)
-    with pytest.raises(BudgetError, match="associate-class scan infeasible for d=214") as exc:
-        minimal_elements(ctx, 14)
-    assert not isinstance(exc.value, ValueError)
+def test_minimal_by_scan_budget_error(monkeypatch):
+    # |norm| 14 in Q(sqrt 214) and Q(sqrt 211) needs the associate-class
+    # scan.  eps_214 is about 1.39e12 and eps_211 about 5.6e11, so the scan
+    # would try about 1.9e11 and 7.7e10 values of v, far beyond MAX_SCAN_V:
+    # refused before the first one, as a budget error, not a usage error
+    def no_scan(n):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(survey, "is_square", no_scan)
+    for d in (214, 211):
+        assert fundamental_unit(field_context(d)).half_coords()[1] > survey.MAX_SCAN_V
+        with pytest.raises(BudgetError, match=f"^associate-class scan infeasible for d={d}: unit too large$") as exc:
+            minimal_elements(field_context(d), 14)
+        assert not isinstance(exc.value, ValueError)
+
+
+def test_minimal_elements_in_exact_order():
+    # records ascend by exact value, checked with mpmath at a working
+    # precision that decides each sign; both routes, every field d < 3000
+    scans = 0
+    for d in range(2, 3000):
+        if not is_squarefree(d):
+            continue
+        ctx = field_context(d)
+        for mu in (2, 3, 5, 7, 14):
+            try:
+                records = minimal_elements(ctx, mu)
+            except BudgetError:
+                continue
+            scans += not survey._convergent_route_valid(ctx, mu)
+            for r, s in zip(records, records[1:]):
+                assert mpmath_sign(r.xi, s.xi) < 0, (d, mu, r, s)
+    assert scans > 300  # the associate-class scan route is covered too
 
 
 def test_e_mu_small_values():
@@ -508,8 +540,8 @@ def test_bound_sweep_on_a_pool_matches_serial():
     # a real 2-process pool sweeps the same chunks and merges them in order
     serial = theorem_bound_sweep(2, 300)
     pooled = theorem_bound_sweep(2, 300, jobs=2)
-    for field in dataclasses.fields(serial):
-        assert getattr(pooled, field.name) == getattr(serial, field.name), field.name
+    for name in survey.BoundReport._fields:
+        assert getattr(pooled, name) == getattr(serial, name), name
 
 
 def test_bound_sweep_rejects_jobs_below_one(monkeypatch):

@@ -65,7 +65,6 @@ from .quadfield import (
     field_context,
     format_quadint,
     is_minimal,
-    parse_quadint,
     qi_compare,
 )
 from .survey import (

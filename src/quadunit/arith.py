@@ -141,6 +141,7 @@ class Factorization(namedtuple("Factorization", "pairs")):
     """Prime factorization as (prime, exponent) pairs, primes ascending."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as is _replace through it
 
     def __new__(cls, pairs: tuple[tuple[int, int], ...]):
         last = 1

@@ -118,7 +118,9 @@ def main(argv=None) -> int:
         parser.error("--precision must be >= 64")
     if ns.factor_budget is not None and ns.factor_budget < 2:
         parser.error("--factor-budget must be >= 2")
-    ns.jobs = max(1, min(ns.jobs, os.cpu_count() or 1))
+    if ns.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    ns.jobs = min(ns.jobs, os.cpu_count() or 1)
     set_digits = getattr(sys, "set_int_max_str_digits", None)  # CPython 3.10.7+
     old_digits = sys.get_int_max_str_digits() if set_digits else None
     try:

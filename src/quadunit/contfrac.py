@@ -62,6 +62,7 @@ class QuadIrr(namedtuple("QuadIrr", "d P Q")):
     """Exact quadratic irrational (P + sqrt(d)) / Q with Q | d - P^2."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as is _replace through it
 
     def __new__(cls, d: int, P: int, Q: int):
         if Q == 0:

@@ -19,14 +19,9 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .arith import factorize, is_squarefree, jacobi, mod_inverse
+from .arith import factorize, is_squarefree, isqrt, jacobi, mod_inverse
 from .contfrac import CFExpansion, QuadIrr, expand_omega, is_reduced, total_quotient
-from .quadfield import (
-    FieldContext,
-    QuadInt,
-    floor_plus_sqrt_div,
-    sign_plus_sqrt,
-)
+from .quadfield import FieldContext, QuadInt, sign_plus_sqrt
 
 
 def omega_ideal(ctx: FieldContext) -> QuadInt:
@@ -38,6 +33,7 @@ class IdealBasis(namedtuple("IdealBasis", "ctx a b c")):
     """Canonical basis [a, b + c*w] of an integral ideal."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as is _replace through it
 
     def __new__(cls, ctx: FieldContext, a: int, b: int, c: int):
         self = super().__new__(cls, ctx, a, b, c)
@@ -60,26 +56,18 @@ class IdealBasis(namedtuple("IdealBasis", "ctx a b c")):
     def norm(self) -> int:
         return self.a * self.c
 
-    def conjugate(self) -> "IdealBasis":
-        """Canonical basis of the conjugate ideal."""
-        # conj ideal is spanned by a and b + c*conj(w) = (b + c*D) - c*w
-        return canonical_from_module(self.ctx, self.a, self.b + self.c * self.ctx.discriminant, -self.c)
-
 
 def _canonical_b(ctx: FieldContext, a: int, b0: int, c: int) -> int:
-    """Translate b0 by multiples of a into the (iii) window."""
-    D, e, d = ctx.discriminant, ctx.sqrt_disc_scale, ctx.d
+    """Translate b0 by multiples of a > 0 into the (iii) window, for c > 0."""
+    D = ctx.discriminant
     # floor((-c*conj(w) - b0) / a) with conj(w) = (D - sqrt D)/2
-    m = floor_plus_sqrt_div(-c * D - 2 * b0, c * e, 2 * a, d)
-    return b0 + a * m
+    return b0 + a * ((isqrt(c * c * D) - c * D - 2 * b0) // (2 * a))
 
 
 def canonical_from_module(ctx: FieldContext, a: int, b0: int, c: int) -> IdealBasis:
     """Canonical basis of the Z-module a*Z + (b0 + c*w)*Z (must be an ideal)."""
-    if a < 0:
-        a = -a
-    if c < 0:
-        b0, c = -b0, -c
+    if a <= 0 or c <= 0:
+        raise ValueError(f"need a > 0 and c > 0, got a={a}, c={c}")
     return IdealBasis(ctx, a, _canonical_b(ctx, a, b0, c), c)
 
 
@@ -157,7 +145,7 @@ def reduced_ideals_of_norm(ctx: FieldContext, mu: int) -> list[IdealBasis]:
     return [basis for basis in norm_ideal_candidates(ctx, mu) if is_reduced_ideal(basis)]
 
 
-def count_reduced_formula(ctx: FieldContext, mu: int, enforce_hypothesis: bool = True) -> int:
+def count_reduced_formula(ctx: FieldContext, mu: int) -> int:
     """Four-case count of reduced ideals of square-free norm mu < w[d].
 
     With mu1 = gcd(mu, 2d) and mu = mu1*mu2 the count is 2**omega(mu2),
@@ -166,7 +154,7 @@ def count_reduced_formula(ctx: FieldContext, mu: int, enforce_hypothesis: bool =
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"norm {mu} must be a positive square-free integer")
-    if enforce_hypothesis and not mu_below_omega(ctx, mu):
+    if not mu_below_omega(ctx, mu):
         raise ValueError(f"count formula requires mu < w[d] (mu={mu}, d={ctx.d})")
     d = ctx.d
     omega_mu2 = 0

@@ -70,6 +70,7 @@ class IndexPair(namedtuple("IndexPair", "mu j y x")):
     """Pair (y, x) with x^2 = mu (mod y); j = 1 restricts to odd y."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as is _replace through it
 
     def __new__(cls, mu: int, j: int, y: int, x: int):
         _check_mu(mu)
@@ -453,8 +454,6 @@ def omega_p_predicted(prog: Progression, p: int) -> int:
         return two_adic_root_count(pair)
     if pair.ytilde % p == 0:
         return 1
-    if pair.mu % (p * p) == 0:
-        return p
     if pair.mu % p == 0:
         return 0
     return 2 if jacobi(pair.mu % p, p) == 1 else 0

@@ -15,7 +15,6 @@ reports (:meth:`QuadInt.approx`); it never decides an order.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -35,21 +34,11 @@ def sign_plus_sqrt(u: int, v: int, d: int) -> int:
     return -sign_plus_sqrt(-u, -v, d)
 
 
-def floor_plus_sqrt_div(u: int, v: int, w: int, d: int) -> int:
-    """Exact floor((u + v*sqrt(d)) / w) for integers with w > 0."""
-    if w <= 0:
-        raise ValueError("denominator must be positive")
-    if v >= 0:
-        fl = isqrt(v * v * d)
-    else:
-        fl = -isqrt(v * v * d) - 1  # v*v*d is never a perfect square here
-    return (u + fl) // w
-
-
 class FieldContext(namedtuple("FieldContext", "d")):
     """A real quadratic field fixed by its square-free radicand d."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as is _replace through it
 
     def __new__(cls, d: int):
         if d < 2:
@@ -82,9 +71,6 @@ class FieldContext(namedtuple("FieldContext", "d")):
     @property
     def sqrt_disc_scale(self) -> int:
         return 1 if self.is_half else 2
-
-    def one(self) -> "QuadInt":
-        return QuadInt(self, 1, 0)
 
 
 @lru_cache(maxsize=4096)
@@ -163,25 +149,6 @@ class QuadInt(NamedTuple):
     def trace(self) -> int:
         return 2 * self.a + self.b * self.ctx.omega_trace
 
-    def unit_inverse(self) -> "QuadInt":
-        """Exact inverse of a unit: eps**-1 = N(eps) * conj(eps)."""
-        n = self.norm()
-        if abs(n) != 1:
-            raise ValueError(f"{self} is not a unit (norm {n})")
-        return self.conj().scale(n)
-
-    def __pow__(self, k: int) -> "QuadInt":
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        out = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def half_coords(self) -> tuple[int, int]:
         """(u, v) with value = (u + v*sqrt(d)) / 2."""
         if self.ctx.is_half:
@@ -254,18 +221,6 @@ def decimal_approx(x: QuadInt, bits: int = 256) -> str:
     sign = "-" if num < 0 else ""
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-_QUADINT_RE = re.compile(r"^\s*([+-]?\d+)\s*([+-]\s*\d+)\s*\*\s*w\[(\d+)\]\s*$")
-
-
-def parse_quadint(text: str) -> QuadInt:
-    m = _QUADINT_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse quadratic integer {text!r}")
-    a = int(m.group(1))
-    b = int(m.group(2).replace(" ", ""))
-    return QuadInt(field_context(int(m.group(3))), a, b)
 
 
 def qi_compare(x: QuadInt, bound) -> int:

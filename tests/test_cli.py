@@ -204,6 +204,12 @@ def test_usage_errors(monkeypatch, capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("quadunit: error: --factor-budget must be >= 2\n")
+    for value in ("0", "-3"):  # rejected before any sweep, not run serially
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", value, *bound])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("quadunit: error: --jobs must be >= 1\n")
 
 
 def test_budget_error_exit_code(capsys):
@@ -627,7 +633,6 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
     argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", "40")
     serial = run_cli(*argv, capsys=capsys)
     assert run_cli("--jobs", "1000", *argv, capsys=capsys) == serial
-    assert run_cli("--jobs", "0", *argv, capsys=capsys) == serial
     assert workers == [3]
     pell = ("--format", "csv", "survey", "pell", "--limit", "300")
     pell_serial = run_cli(*pell, capsys=capsys)

@@ -248,7 +248,9 @@ def test_total_quotients_reduced():
 
 def test_is_reduced_examples():
     assert is_reduced(QuadIrr(2, 1, 1))
-    assert not is_reduced(QuadIrr(2, 0, 1))
+    assert not is_reduced(QuadIrr(2, 0, 1))  # conj(alpha) = -sqrt(2) < -1
+    assert not is_reduced(QuadIrr(2, -2, 1))  # alpha = sqrt(2) - 2 < 1
+    assert not is_reduced(QuadIrr(2, 2, 1))  # conj(alpha) = 2 - sqrt(2) > 0
     assert is_reduced(QuadIrr(13, 3, 2))
     with pytest.raises(ValueError):
         QuadIrr(2, 1, 0)
@@ -433,7 +435,7 @@ def test_qi_compare_huge_unit_boundaries():
     # comparisons one away from it are decided exactly
     ctx = field_context(9199)
     eps = fundamental_unit(ctx)
-    one = ctx.one()
+    one = QuadInt(ctx, 1, 0)
     assert qi_compare(eps, fundamental_unit(ctx)) == 0
     assert qi_compare(eps + one, fundamental_unit(ctx)) == 1
     assert qi_compare(eps - one, fundamental_unit(ctx)) == -1
@@ -463,7 +465,7 @@ def test_qi_compare_fundamental_unit():
         eps = fundamental_unit(ctx)
         assert qi_compare(eps, fundamental_unit(ctx)) == 0
         assert qi_compare(eps * eps, fundamental_unit(ctx)) == 1
-        assert qi_compare(ctx.one() + ctx.one(), fundamental_unit(ctx)) == (1 if eps.approx() < 2 else -1)
+        assert qi_compare(QuadInt(ctx, 2, 0), fundamental_unit(ctx)) == (1 if eps.approx() < 2 else -1)
     # agreement with an independent mpmath sign on random elements
     for _ in range(200):
         d = rng.choice(SQUAREFREE)
@@ -476,6 +478,6 @@ def test_qi_compare_fundamental_unit():
         ctx = field_context(d)
         eps = fundamental_unit(ctx)
         cases = [eps, QuadInt(ctx, eps.a + 1, eps.b), QuadInt(ctx, eps.a - 1, eps.b),
-                 eps * eps, eps * (ctx.one() + QuadInt(ctx, 0, 1))]
+                 eps * eps, eps * QuadInt(ctx, 1, 1)]
         for x in cases:
             assert qi_compare(x, fundamental_unit(ctx)) == mpmath_sign(x, eps), (d, x)

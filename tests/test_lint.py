@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import quadunit
@@ -357,3 +358,41 @@ def test_one_progression_start_scan():
     assert [scope for scope in _uses("build_progression") if scope.startswith("survey.py")] == []
     assert [scope for scope in _uses("unit_progression") if scope.startswith("survey.py.")] == [
         "survey.py._assert_unit_progression_membership"]
+
+
+# The paper's claims, stated as checks: the acceptance suite runs them (also
+# through quadunit verify), so no library code calls them.
+CLAIM_CHECKS = frozenset({
+    "E_mu", "EMuReport.keys", "split_identity_check", "ramified_identity_check",
+    "count_reduced_formula", "reduced_ideals_of_norm", "conjugate_coprime",
+    "omega_p_predicted", "xi_alpha_check",
+})
+
+
+def _public_functions():
+    """(file name, qualified name, node) of each public module-level function and method."""
+    for name, tree in _library_trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield name, node.name, node
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        yield name, f"{node.name}.{fn.name}", fn
+
+
+def _names(nodes) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in nodes if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_library_caller():
+    # a public name that only tests reach is a capability nothing runs: each
+    # is referenced somewhere in the library outside its own body, or is
+    # one of the claim checks
+    everywhere = _names(node for _, node in _library_nodes())
+    functions = list(_public_functions())
+    found = [f"{name}:{qual}" for name, qual, fn in functions
+             if qual not in CLAIM_CHECKS and everywhere[fn.name] == _names(ast.walk(fn))[fn.name]]
+    assert found == []
+    assert CLAIM_CHECKS <= {qual for _, qual, _ in functions}

@@ -161,12 +161,13 @@ def test_invariants_raise_under_python_O():
     script = """
 from quadunit import progressions
 from quadunit.progressions import IndexPair, _candidate, build_progression
+from quadunit.quadfield import QuadInt
 pair = IndexPair(2, 0, 7, 3)
 try:
     _candidate(pair, 2)  # n0 = 1: the norm identity fails at n = 2
 except AssertionError as exc:
     print("identity:", exc)
-progressions._witness = lambda pair, n, ctx: ctx.one()
+progressions._witness = lambda pair, n, ctx: QuadInt(ctx, 1, 0)
 try:
     build_progression(pair)
 except AssertionError as exc:
@@ -227,7 +228,7 @@ def test_unit_progression_checks_the_unit():
     assert (prog.t, prog.n_start, prog.exceptions) == (41, 6, (2,))
     # a unit that is not xi(n) is a fault, and so is an n off the grid
     with pytest.raises(AssertionError, match="is not the unit"):
-        unit_progression(pair, n, eps ** 3, flags)
+        unit_progression(pair, n, eps * eps * eps, flags)
     for off in (n + 1, n - 2 * pair.ytilde):
         with pytest.raises(AssertionError, match="off the grid"):
             unit_progression(pair, off, eps, flags)

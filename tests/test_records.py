@@ -88,14 +88,27 @@ BAD = [
 ]
 
 
+GOOD = {
+    Factorization: factorize(6),
+    QuadIrr: QuadIrr(13, 1, 3),
+    FieldContext: field_context(5),
+    IndexPair: IndexPair(2, 0, 7, 3),
+    IdealBasis: norm_ideal_candidates(field_context(13), 3)[0],
+}
+
+
 @pytest.mark.parametrize("cls, args, message", BAD, ids=lambda v: getattr(v, "__name__", None))
 def test_validated_records_reject_bad_input(cls, args, message):
-    with pytest.raises(ValueError) as exc:
-        cls(*args)
-    assert str(exc.value) == message
-    # unpickling constructs through the same check, so a bad value cannot
-    # reach a pool worker or come back from one
-    smuggled = pickle.dumps(tuple.__new__(cls, args))
-    with pytest.raises(ValueError) as exc:
-        pickle.loads(smuggled)
-    assert str(exc.value) == message
+    builds = [
+        lambda: cls(*args),
+        # the tuple helpers construct through the same check
+        lambda: cls._make(args),
+        lambda: GOOD[cls]._replace(**dict(zip(cls._fields, args))),
+        # and so does unpickling, so a bad value cannot reach a pool worker
+        # or come back from one
+        lambda: pickle.loads(pickle.dumps(tuple.__new__(cls, args))),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message

@@ -10,6 +10,7 @@ from quadunit.progressions import build_progression, trace_kernels, unit_progres
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
 from quadunit.survey import (
     E_mu,
+    FMuReport,
     f_mu,
     minimal_elements,
     negative_pell,
@@ -340,6 +341,9 @@ def test_f_mu_examples():
     assert set(r.kernels) == {2, 17, 7, 41, 14, 73}
     assert r.ratio == 0.6 >= 0.5
     assert f_mu(30, 3).count == 0
+    # no trace 1 < T < n_bound to scan
+    assert f_mu(2, 2) == FMuReport(2, 2, 0, 0.0, 0.5, ())
+    assert f_mu(-30, 0) == FMuReport(-30, 0, 0, 0.0, 0.125, ())
     with pytest.raises(ValueError, match=r"^mu must be nonzero, got 0$"):
         f_mu(0, 10)
 
@@ -441,7 +445,7 @@ def test_negative_pell_builds_fields_only_for_odd_periods():
 
 def test_negative_pell_rejects_a_unit_against_its_parity(monkeypatch):
     # an odd period with a unit of norm +1 is a fault, never a skip
-    monkeypatch.setattr(survey, "fundamental_unit", lambda ctx: fundamental_unit(ctx) ** 2)
+    monkeypatch.setattr(survey, "fundamental_unit", lambda ctx: fundamental_unit(ctx) * fundamental_unit(ctx))
     with pytest.raises(AssertionError, match="is odd but N"):
         survey._pell_chunk("progression", 2, 50)
 
@@ -557,3 +561,4 @@ def test_rank_correlation():
     assert rank_correlation([1, 2, 3, 4]) == 1.0
     assert rank_correlation([4, 3, 2, 1]) == -1.0
     assert abs(rank_correlation([1, 3, 2, 4])) < 1.0
+    assert rank_correlation([]) == rank_correlation([7]) == 0.0

@@ -72,7 +72,6 @@ from .survey import (
     EMuReport,
     FMuReport,
     IdentityVerdict,
-    MinimalRecord,
     E_mu,
     e_mu_stream,
     f_mu,

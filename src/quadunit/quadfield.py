@@ -8,13 +8,12 @@ the d = 1 (mod 4) case need no denominators.
 
 Every order decision goes through :func:`qi_compare`, which returns the
 exact sign of x - bound (-1, 0 or +1) by isolating the sqrt(d) term and
-comparing squares with sign tracking.  Floating point appears only in
-reports (:meth:`QuadInt.approx`); it never decides an order.
+comparing squares with sign tracking.  No float appears here: values
+are rendered by :func:`decimal_approx`, in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -164,38 +163,6 @@ class QuadInt(NamedTuple):
         if r or a2 % 2:
             raise ValueError(f"({u} + {v}*sqrt({ctx.d}))/2 is not an integer of Q(sqrt({ctx.d}))")
         return cls(ctx, a2 // 2, b)
-
-    def sign(self) -> int:
-        u, v = self.half_coords()
-        return sign_plus_sqrt(u, v, self.ctx.d)
-
-    def approx(self) -> float:
-        """Double approximation; overflows to +-inf instead of raising."""
-        u, v = self.half_coords()
-        if max(abs(u), abs(v)) < 1 << 500:
-            return (u + v * math.sqrt(self.ctx.d)) / 2.0
-        lv = self.log_value()
-        if lv > 700:
-            return math.copysign(math.inf, self.sign())
-        return math.copysign(math.exp(lv), self.sign())
-
-    def log_value(self) -> float:
-        """log |value|, accurate to ~1e-12 relative for values above 1,
-        however huge the coordinates.
-
-        Uses a 64-fractional-bit integer evaluation of |u + v*sqrt(d)| and a
-        bit-length-reduced logarithm, so nothing overflows.  Near-complete
-        cancellation (values far below 1) degrades gracefully.  A report
-        only: no order decision reads it.
-        """
-        u, v = self.half_coords()
-        k = 64
-        t = isqrt(self.ctx.d << (2 * k))  # floor(sqrt(d) * 2**k)
-        w = abs((u << k) + v * t)
-        if w == 0:
-            raise ValueError("log of zero")
-        sh = max(w.bit_length() - 53, 0)
-        return math.log(w >> sh) + sh * math.log(2) - (k + 1) * math.log(2)
 
     def __str__(self) -> str:
         return format_quadint(self)

@@ -3,12 +3,13 @@ split/ramified unit identities, regulator lower-bound residuals, and
 negative Pell solvability.
 
 A quadratic integer is *minimal* when it is the least element above 1
-among its associates.  For |norm| = mu below w[d] - 1 the minimal
-elements all arise from convergents of w[d], so the per-field route scans
-the xi_n stream; the cross-field route scans traces m and both signed
-norms, reducing each discriminant m^2 -+ 4 mu to its square-free kernel.
-The two routes are kept fully independent so they can cross-check each
-other: the test suite counts E_mu field by field from the first.
+among its associates.  Where they are all convergents of w[d] (|norm| mu
+below w[d] - 1, or below sqrt(D)/2 and coprime to D), the per-field route
+reads them off the xi_n stream; the cross-field route scans traces m and
+both signed norms, reducing each discriminant m^2 -+ 4 mu to its
+square-free kernel.  The two routes are independent, so they cross-check
+each other: the test suite counts E_mu field by field from the first, and
+its per-field oracle scans associate classes for mu outside that range.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cmp_to_key
 from heapq import merge
 from typing import NamedTuple
 
 from .arith import (
-    BudgetError,
     factor_budget,
     factorize,
+    is_prime,
     is_square,
     is_squarefree,
     isqrt,
@@ -34,40 +34,30 @@ from .arith import (
 from .contfrac import expand_omega, fundamental_unit, period_is_odd, regulator
 from .ideals import mu_below_omega, principal_basis
 from .progressions import pair_of, trace_kernels, unit_progression
-from .quadfield import FieldContext, QuadInt, field_context, is_minimal, qi_compare, sign_plus_sqrt
+from .quadfield import FieldContext, QuadInt, field_context, is_minimal, sign_plus_sqrt
 
 
-class MinimalRecord(NamedTuple):
-    """A minimal quadratic integer of absolute norm mu in its field."""
+def minimal_elements(ctx: FieldContext, mu: int) -> list[QuadInt]:
+    """The minimal elements of |norm| mu, ascending: the xi_n of one period
+    of w[d] with nu_n = mu.  Defined only where those are all of them
+    (:func:`_convergent_route_valid`); any other mu raises ValueError.
 
-    d: int
-    xi: QuadInt
-    trace: int
-    signed_norm: int
-    value_approx: float
-
-
-def minimal_elements(ctx: FieldContext, mu: int) -> list[MinimalRecord]:
-    """All minimal elements of absolute norm mu, sorted by exact value
-    (:func:`qi_compare`), then trace, then signed norm.
-
-    For mu < w[d] - 1 these come from convergents, so one period of the
-    nu_n stream suffices.  Outside that range the associate classes are
-    enumerated directly (bounded scan below the fundamental unit).
+    xi_n = p_n - q_n conj(w[d]) with -conj(w[d]) > 0, q_n >= 1 non-decreasing
+    and p_n strictly rising (a_0 >= 1), so 1 < xi_0 < ... < xi_{l-1} = eps_d:
+    period order is value order, and each xi_n is minimal.  An xi_n that is
+    not raises AssertionError, as an invariant.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
-    if _convergent_route_valid(ctx, mu):
-        exp = expand_omega(ctx)
-        found = [exp.xi(n) for n, (_, _, _, nu) in enumerate(exp.period()) if nu == mu]
-    else:
-        found = _minimal_by_scan(ctx, mu)
+    if not _convergent_route_valid(ctx, mu):
+        raise ValueError(f"mu={mu} is outside the convergent range of d={ctx.d}: "
+                         "need mu < w[d] - 1, or mu < sqrt(D)/2 with gcd(mu, D) = 1")
+    exp = expand_omega(ctx)
+    found = [exp.xi(n) for n, (_, _, _, nu) in enumerate(exp.period()) if nu == mu]
     eps = fundamental_unit(ctx)
-    out = [MinimalRecord(ctx.d, xi, xi.trace(), xi.norm(), xi.approx())
-           for xi in found if is_minimal(xi, eps)]
-    out.sort(key=cmp_to_key(lambda r, s: qi_compare(r.xi, s.xi)
-                            or r.trace - s.trace or r.signed_norm - s.signed_norm))
-    return out
+    if not all(is_minimal(xi, eps) for xi in found):
+        raise AssertionError(f"an xi_n of norm +-{mu} in d={ctx.d} is not minimal")
+    return found
 
 
 def _convergent_route_valid(ctx: FieldContext, mu: int) -> bool:
@@ -84,41 +74,6 @@ def _convergent_route_valid(ctx: FieldContext, mu: int) -> bool:
 def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
     # mu < sqrt(D)/2, exactly
     return 4 * mu * mu < ctx.discriminant
-
-
-# Values of v the associate-class scan may try (about 1.5 s of scanning),
-# above the largest vmax of the test inputs: 442,129, at d = 94.
-MAX_SCAN_V = 2**20
-
-
-def _minimal_by_scan(ctx: FieldContext, mu: int) -> list[QuadInt]:
-    """Elements above 1 with |norm| = mu and v <= vmax, in no fixed order.
-
-    For 1 < xi = (u + v sqrt d)/2 <= eps of norm +-mu, v sqrt(d) = xi -+ mu/xi
-    < eps + mu.  eps = (U + V sqrt d)/2 with U^2 <= V^2 d + 4 and V sqrt(d) >= 2
-    (V is even unless d = 1 mod 4), so eps < V sqrt(d) + 1/2 and
-    v < V + (mu + 1)/sqrt(d) < vmax.  Elements above eps are returned too;
-    :func:`minimal_elements` keeps x <= eps and sorts.  Cost is O(vmax),
-    about O(eps / sqrt(d)); vmax above MAX_SCAN_V raises BudgetError.
-    """
-    eps = fundamental_unit(ctx)
-    vmax = eps.half_coords()[1] + isqrt((mu + 1) ** 2 // ctx.d) + 1
-    if vmax > MAX_SCAN_V:
-        raise BudgetError(f"associate-class scan infeasible for d={ctx.d}: unit too large")
-    out = []
-    for v in range(1, vmax + 1):
-        for target in (mu, -mu):
-            # N((u + v sqrt d)/2) = target, so u^2 = v^2 d + 4 target: never a
-            # square for d != 1 (mod 4) and odd v, so every solution is integral
-            sq = v * v * ctx.d + 4 * target
-            if not is_square(sq):
-                continue
-            r = isqrt(sq)
-            for u in {r, -r}:  # one element when r = 0
-                xi = QuadInt.from_half(ctx, u, v)
-                if qi_compare(xi, 1) > 0:
-                    out.append(xi)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +126,15 @@ def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
     on each candidate itself (:func:`_within_unit`), with no unit table.
     Each kept candidate is built once, as its entry.  Entries come sorted
     by (value, trace, signed_norm), merged from the two norms'
-    trace-ascending scans: see :func:`_e_mu_trace`.  A bad mu raises
-    ValueError here, before the first entry is asked for.
+    trace-ascending scans: see :func:`_e_mu_trace`.  A bad mu or a negative
+    bound raises ValueError here, before the first entry is asked for.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
-    return _e_mu_trace(mu, Fraction(x_bound))
+    x = Fraction(x_bound)
+    if x < 0:
+        raise ValueError(f"bound must be >= 0, got {x_bound}")
+    return _e_mu_trace(mu, x)
 
 
 def _within_unit(m: int, f: int, d: int, mu: int) -> bool:
@@ -290,9 +248,11 @@ class FMuReport(NamedTuple):
 
 def f_mu(mu: int, n_bound: int) -> FMuReport:
     """Distinct square-free kernels d > 1 of T^2 - 4 mu over 1 < T < n_bound,
-    read from :func:`trace_kernels`."""
+    read from :func:`trace_kernels`.  mu = 0 or n_bound < 0 raises ValueError."""
     if mu == 0:
         raise ValueError(f"mu must be nonzero, got {mu}")
+    if n_bound < 0:
+        raise ValueError(f"bound must be >= 0, got {n_bound}")
     liminf = 2.0 ** -factorize(abs(mu)).omega()
     if n_bound <= 2:
         return FMuReport(mu, n_bound, 0, 0.0, liminf, ())
@@ -322,19 +282,21 @@ class IdentityVerdict(NamedTuple):
 
 
 def split_identity_check(d: int, p: int) -> IdentityVerdict:
-    """For split principal p < w[d] - 1: the two minimal generators of the
-    conjugate prime ideals multiply to p * eps_d, exactly."""
+    """For split principal p < sqrt(D)/2: the two minimal generators of the
+    conjugate prime ideals multiply to p * eps_d, exactly.  p not prime
+    raises ValueError."""
+    _require_prime(p)
     ctx = field_context(d)
     if not _below_half_sqrt_disc(ctx, p):
         return IdentityVerdict(d, p, "hypothesis_not_met", "p >= sqrt(D)/2", None, None, None)
     if not _splits(ctx, p):
         return IdentityVerdict(d, p, "hypothesis_not_met", "p inert or ramified", None, None, None)
-    records = minimal_elements(ctx, p)
-    if not records:
+    found = minimal_elements(ctx, p)
+    if not found:
         return IdentityVerdict(d, p, "hypothesis_not_met", "prime ideals not principal", None, None, None)
-    if len(records) != 2:
+    if len(found) != 2:
         raise AssertionError(f"split principal p={p}, d={d}: expected 0 or 2 minimal elements")
-    xi, xit = records[0].xi, records[1].xi
+    xi, xit = found
     if principal_basis(xi) == principal_basis(xit):
         raise AssertionError(f"minimal elements of split p={p}, d={d} generate one ideal")
     if principal_basis(xi.conj()) != principal_basis(xit):
@@ -346,7 +308,9 @@ def split_identity_check(d: int, p: int) -> IdentityVerdict:
 
 def ramified_identity_check(d: int, p: int) -> IdentityVerdict:
     """For ramified p with sqrt(d) - 1 > p and d = 2, 3 (mod 4): the square
-    of the minimal norm +-p element equals p * eps_d."""
+    of the minimal norm +-p element equals p * eps_d; p not prime raises
+    ValueError."""
+    _require_prime(p)
     ctx = field_context(d)
     if d % 4 == 1:
         return IdentityVerdict(d, p, "hypothesis_not_met", "d = 1 (mod 4)", None, None, None)
@@ -354,14 +318,19 @@ def ramified_identity_check(d: int, p: int) -> IdentityVerdict:
         return IdentityVerdict(d, p, "hypothesis_not_met", "sqrt(d) - 1 <= p", None, None, None)
     if ctx.discriminant % p:
         return IdentityVerdict(d, p, "hypothesis_not_met", "p unramified", None, None, None)
-    records = minimal_elements(ctx, p)
-    if not records:
+    found = minimal_elements(ctx, p)
+    if not found:
         return IdentityVerdict(d, p, "hypothesis_not_met", "no norm +-p element", None, None, None)
-    if len(records) != 1:
+    if len(found) != 1:
         raise AssertionError(f"ramified p={p}, d={d}: expected one minimal element")
-    xi = records[0].xi
+    xi = found[0]
     holds = (xi * xi).divide_exact(p) == fundamental_unit(ctx)
     return IdentityVerdict(d, p, "ok", "", holds, xi, xi)
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _splits(ctx: FieldContext, p: int) -> bool:

@@ -257,13 +257,15 @@ def negative_pell_bruteforce(n_bound: int) -> list[int]:
 
 def e_mu_fields(mu: int, x_bound) -> list[tuple[int, int, int]]:
     """(d, trace, signed norm) of every minimal element of |norm| mu in
-    (1, x_bound), collected field by field from ``minimal_elements``.
+    (1, x_bound), collected field by field.
 
     The per-field cross-check of ``E_mu``'s trace scan: every square-free
     d up to (x + mu + 2)^2 is visited, and no discriminant is reduced.
+    Where mu is in the convergent range of d the elements come from
+    ``minimal_elements``, elsewhere from :func:`minimal_by_scan`.
     """
     from quadunit.quadfield import field_context
-    from quadunit.survey import minimal_elements
+    from quadunit.survey import _convergent_route_valid, minimal_elements
 
     x = Fraction(x_bound)
     if x <= 1:
@@ -273,12 +275,52 @@ def e_mu_fields(mu: int, x_bound) -> list[tuple[int, int, int]]:
     for d in range(2, d_max + 1):
         if any(d % (p * p) == 0 for p in range(2, math.isqrt(d) + 1)):
             continue
-        for rec in minimal_elements(field_context(d), mu):
-            u, v = rec.xi.half_coords()
-            # (u + v sqrt(d))/2 < x
-            if _sign_plus_sqrt_frac(u - 2 * x, Fraction(v), d) < 0:
-                out.append((d, rec.trace, rec.signed_norm))
+        ctx = field_context(d)
+        if _convergent_route_valid(ctx, mu):
+            found = [xi for xi in minimal_elements(ctx, mu) if _below(xi, x)]
+        else:
+            found = minimal_by_scan(ctx, mu, x)
+        out += [(d, xi.trace(), xi.norm()) for xi in found]
     return out
+
+
+def minimal_by_scan(ctx, mu: int, x_bound) -> list:
+    """Minimal xi = (u + v sqrt(d))/2 of |norm| mu with 1 < xi < x_bound and
+    v >= 1, in no fixed order, by a literal scan of v.
+
+    v >= 1 takes xi as the larger root of X^2 - m X +- mu, as E_mu does.
+    v sqrt(d) = xi - conj(xi) with |conj(xi)| = mu/xi < mu, so
+    v sqrt(d) < x + mu: the scan stops once v^2 d >= (x + mu)^2, bounded by
+    its own x.  u^2 = v^2 d +- 4 mu is never a square for d != 1 (mod 4)
+    and odd v, so every solution is integral.
+    """
+    from quadunit.contfrac import fundamental_unit
+    from quadunit.quadfield import QuadInt, is_minimal
+
+    x, d = Fraction(x_bound), ctx.d
+    eps = fundamental_unit(ctx)
+    # v^2 d < (x + mu)^2 with x = n/q: v^2 d q^2 <= (n + mu q)^2 - 1
+    n, q = x.numerator, x.denominator
+    v_max = math.isqrt(((n + mu * q) ** 2 - 1) // (d * q * q))
+    out = []
+    for v in range(1, v_max + 1):
+        for target in (mu, -mu):
+            sq = v * v * d + 4 * target
+            r = math.isqrt(max(sq, 0))
+            if r * r != sq:
+                continue
+            for u in {r, -r}:  # one element when r = 0
+                xi = QuadInt.from_half(ctx, u, v)
+                above_one = _sign_plus_sqrt_frac(u - 2, v, d) > 0
+                if above_one and _below(xi, x) and is_minimal(xi, eps):
+                    out.append(xi)
+    return out
+
+
+def _below(xi, x: Fraction) -> bool:
+    # (u + v sqrt(d))/2 < x
+    u, v = xi.half_coords()
+    return _sign_plus_sqrt_frac(u - 2 * x, v, xi.ctx.d) < 0
 
 
 def unit_map(trace_max: int) -> dict[int, tuple[int, int]]:

@@ -189,6 +189,10 @@ def test_usage_errors(monkeypatch, capsys):
         cases.append((("progression", "2", "0", "7", "3", "--scan-limit", limit),
                       f"scan_limit must be >= 1, got {limit}"))
     cases.append((("coverage", "2", "--y-max", "-1"), "y_max must be >= 0, got -1"))
+    # a negative --limit is refused by e-mu and f-mu, as by bound and pell,
+    # e-mu before its header is written
+    for kind in ("e-mu", "f-mu"):
+        cases.append((("survey", kind, "--mu", "2", "--limit", "-5"), "bound must be >= 0, got -5"))
     cases.append((("pairs", "2", "0", "-5"), "y_max must be >= 0, got -5"))
     monkeypatch.setattr(progressions, "_candidate", no_sweep)
     monkeypatch.setattr(progressions, "trace_kernels", no_sweep)

@@ -132,15 +132,30 @@ def _uses(target):
 
 
 def test_order_is_exact():
-    # the float log is a report: only QuadInt.approx reads it, so no float
-    # decides an order (qi_compare decides every one)
-    assert _uses("log_value") == ["quadfield.py.QuadInt.approx"]
-    # and no sort key reads a float value
+    # qi_compare decides every order: no sort key reads a float value
     keys = [kw.value for _, node in _library_nodes() if isinstance(node, ast.Call)
             for kw in node.keywords if kw.arg == "key"]
     found = [ast.unparse(key) for key in keys for node in ast.walk(key)
-             if isinstance(node, ast.Attribute) and node.attr in ("approx", "value_approx")]
+             if isinstance(node, ast.Attribute) and node.attr in ("approx", "value_approx", "value")]
     assert keys and found == [], found
+
+
+def test_quadfield_has_no_float():
+    # quadfield decides every order, so no float reaches it: no math import
+    # and no float literal
+    tree = dict(_library_trees())["quadfield.py"]
+    found = [f"quadfield.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Import) and any(a.name == "math" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "math")
+             or (isinstance(node, ast.Constant) and isinstance(node.value, float))]
+    assert found == []
+
+
+def test_one_square_test_in_survey():
+    # the per-field route reads convergents: the only square test in
+    # survey.py is E_mu's scan for eps_d
+    calls = [scope for scope in _uses("is_square") if scope.startswith("survey.py.")]
+    assert calls == ["survey.py._within_unit"], calls
 
 
 def test_one_residual_certificate():

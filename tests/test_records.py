@@ -13,7 +13,6 @@ from quadunit.quadfield import FieldContext, QuadInt, field_context
 from quadunit.survey import (
     E_mu,
     f_mu,
-    minimal_elements,
     ramified_identity_check,
     theorem_bound_sweep,
 )
@@ -36,7 +35,6 @@ def _samples():
         coverage,
         field_context(5),
         QuadInt(field_context(5), 1, 2),
-        minimal_elements(field_context(17), 2)[0],
         E_mu(2, 5),
         f_mu(2, 100),
         ramified_identity_check(14, 2),
@@ -46,7 +44,7 @@ def _samples():
 
 
 def test_every_record_type_is_sampled():
-    assert len({type(x).__name__ for x in _samples()}) == 17
+    assert len({type(x).__name__ for x in _samples()}) == 16
 
 
 @pytest.mark.parametrize("x", _samples(), ids=lambda x: type(x).__name__)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadunit import contfrac, progressions, survey
-from quadunit.arith import BudgetError, is_square, is_squarefree
+from quadunit.arith import is_square, is_squarefree
 from quadunit.contfrac import fundamental_unit
 from quadunit.progressions import build_progression, trace_kernels, unit_progression
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
@@ -24,47 +24,51 @@ from oracles import (
     e_mu_consider,
     e_mu_fields,
     linear_cf_walk,
+    minimal_by_scan,
     mpmath_sign,
     negative_pell_bruteforce,
     unit_map,
 )
 
 
+def _above_unit(ctx) -> Fraction:
+    """A bound just above eps_d = (u + v sqrt d)/2: (u + v (isqrt(d) + 1))/2."""
+    u, v = fundamental_unit(ctx).half_coords()
+    return Fraction(u + v * (math.isqrt(ctx.d) + 1), 2)
+
+
 def test_minimal_elements_examples():
     c17 = field_context(17)
-    recs = minimal_elements(c17, 2)
-    assert [(r.xi.a, r.xi.b) for r in recs] == [(1, 1), (2, 1)]  # (3+s)/2, (5+s)/2
-    assert sorted(r.signed_norm for r in recs) == [-2, 2]
+    xis = minimal_elements(c17, 2)
+    assert [(xi.a, xi.b) for xi in xis] == [(1, 1), (2, 1)]  # (3+s)/2, (5+s)/2
+    assert sorted(xi.norm() for xi in xis) == [-2, 2]
 
-    recs = minimal_elements(field_context(3), 2)
-    assert [(r.xi.a, r.xi.b) for r in recs] == [(1, 1)]  # 1 + sqrt(3)
-
-    assert minimal_elements(field_context(5), 2) == []
+    # 2 lies outside the convergent range of d = 3 and d = 5: the oracle
+    # scan finds 1 + sqrt(3), and no element for d = 5
+    for d, want in ((3, [(1, 1)]), (5, [])):
+        ctx = field_context(d)
+        with pytest.raises(ValueError, match=f"^mu=2 is outside the convergent range of d={d}: "):
+            minimal_elements(ctx, 2)
+        assert [(xi.a, xi.b) for xi in minimal_by_scan(ctx, 2, _above_unit(ctx))] == want
 
     with pytest.raises(ValueError):
         minimal_elements(c17, 12)
 
 
 def test_minimal_elements_routes_agree():
-    # the convergent route and the bounded scan see the same sets
-    from quadunit.survey import _convergent_route_valid, _minimal_by_scan
-    from quadunit.arith import is_squarefree
-
+    # the convergent route and the oracle's scan up to just above eps_d
+    # see the same sets
     for d in range(2, 120):
         if not is_squarefree(d):
             continue
         ctx = field_context(d)
-        eps = fundamental_unit(ctx)
-        if eps.approx() > 10**7:
+        if qi_compare(fundamental_unit(ctx), 10**7) > 0:
             continue
         for mu in (2, 3, 5, 6, 7):
-            if not _convergent_route_valid(ctx, mu):
+            if not survey._convergent_route_valid(ctx, mu):
                 continue
-            from quadunit.quadfield import is_minimal
-
-            scan = {x for x in _minimal_by_scan(ctx, mu) if is_minimal(x, eps)}
-            cf = {r.xi for r in minimal_elements(ctx, mu)}
-            assert cf == scan, (d, mu)
+            scan = set(minimal_by_scan(ctx, mu, _above_unit(ctx)))
+            assert set(minimal_elements(ctx, mu)) == scan, (d, mu)
 
 
 def test_hypothesis_bound_helpers():
@@ -89,38 +93,49 @@ def test_hypothesis_bound_helpers():
 
 
 def test_minimal_by_scan_budget_error(monkeypatch):
-    # |norm| 14 in Q(sqrt 214) and Q(sqrt 211) needs the associate-class
-    # scan.  eps_214 is about 1.39e12 and eps_211 about 5.6e11, so the scan
-    # would try about 1.9e11 and 7.7e10 values of v, far beyond MAX_SCAN_V:
-    # refused before the first one, as a budget error, not a usage error
+    # |norm| 14 in Q(sqrt 214) and Q(sqrt 211) lies outside the convergent
+    # range (14 is not below w[d] - 1, and not coprime to D).  eps_214 is
+    # about 1.39e12 and eps_211 about 5.6e11: no scan runs, the call is
+    # refused as a usage error before any square test
     def no_scan(n):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(survey, "is_square", no_scan)
     for d in (214, 211):
-        assert fundamental_unit(field_context(d)).half_coords()[1] > survey.MAX_SCAN_V
-        with pytest.raises(BudgetError, match=f"^associate-class scan infeasible for d={d}: unit too large$") as exc:
+        with pytest.raises(ValueError, match=f"^mu=14 is outside the convergent range of d={d}: "):
             minimal_elements(field_context(d), 14)
-        assert not isinstance(exc.value, ValueError)
 
 
 def test_minimal_elements_in_exact_order():
-    # records ascend by exact value, checked with mpmath at a working
-    # precision that decides each sign; both routes, every field d < 3000
-    scans = 0
+    # elements ascend by exact value, checked with mpmath at a working
+    # precision that decides each sign, in every field d < 3000; outside
+    # the convergent range the call raises
+    raised = 0
     for d in range(2, 3000):
         if not is_squarefree(d):
             continue
         ctx = field_context(d)
         for mu in (2, 3, 5, 7, 14):
-            try:
-                records = minimal_elements(ctx, mu)
-            except BudgetError:
+            if not survey._convergent_route_valid(ctx, mu):
+                with pytest.raises(ValueError):
+                    minimal_elements(ctx, mu)
+                raised += 1
                 continue
-            scans += not survey._convergent_route_valid(ctx, mu)
-            for r, s in zip(records, records[1:]):
-                assert mpmath_sign(r.xi, s.xi) < 0, (d, mu, r, s)
-    assert scans > 300  # the associate-class scan route is covered too
+            xis = minimal_elements(ctx, mu)
+            for r, s in zip(xis, xis[1:]):
+                assert mpmath_sign(r, s) < 0, (d, mu, r, s)
+    assert raised > 300  # the out-of-range refusal is covered too
+
+
+def test_minimal_elements_checks_minimality(monkeypatch):
+    # an xi_n above eps_d is not minimal: the invariant raises, it does
+    # not drop the element
+    ctx = field_context(17)
+    eps = fundamental_unit(ctx)
+    xi = contfrac.CFExpansion.xi
+    monkeypatch.setattr(contfrac.CFExpansion, "xi", lambda self, n: xi(self, n) * eps)
+    with pytest.raises(AssertionError, match="^an xi_n of norm \\+-2 in d=17 is not minimal$"):
+        minimal_elements(ctx, 2)
 
 
 def test_e_mu_small_values():
@@ -129,6 +144,10 @@ def test_e_mu_small_values():
     assert r.keys() == {(2, 0, -2), (3, 2, -2), (17, 3, -2), (6, 4, -2), (17, 5, 2)}
     assert E_mu(2, Fraction(3, 2)).count == 1  # just sqrt(2)
     assert E_mu(2, 1).count == 0
+    # 0 is still a bound; a negative one is refused before any scan
+    assert E_mu(2, 0).count == 0
+    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1/2$"):
+        survey.e_mu_stream(2, Fraction(-1, 2))
     # sqrt(3), (+-1+sqrt 13)/2, (3+sqrt 21)/2, 2+sqrt(7)
     assert E_mu(3, 5).count == 5
     assert (13, -1, -3) in E_mu(3, 5).keys()
@@ -346,6 +365,9 @@ def test_f_mu_examples():
     assert f_mu(-30, 0) == FMuReport(-30, 0, 0, 0.0, 0.125, ())
     with pytest.raises(ValueError, match=r"^mu must be nonzero, got 0$"):
         f_mu(0, 10)
+    # a negative bound is refused, not read as an empty range
+    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -5$"):
+        f_mu(2, -5)
 
 
 def test_split_identity_examples():
@@ -382,6 +404,17 @@ def test_ramified_identity():
     xi = QuadInt(field_context(6), 2, 1)
     assert (xi * xi).divide_exact(2) == fundamental_unit(field_context(6))
     assert ramified_identity_check(21, 2).status == "hypothesis_not_met"  # d = 1 mod 4
+
+
+def test_identity_checks_reject_a_p_that_is_not_prime(monkeypatch):
+    # p = 0 divided by zero, p = 1 made a false counterexample at d = 14
+    # and p = -3 read as p >= sqrt(D)/2: each is refused before a field
+    # is built
+    monkeypatch.setattr(survey, "field_context", lambda d: pytest.fail("a field was built"))
+    for p in (0, 1, -3, 15):
+        for check, d in ((split_identity_check, 17), (ramified_identity_check, 14)):
+            with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+                check(d, p)
 
 
 def test_negative_pell_small():

@@ -159,13 +159,14 @@ class Factorization(namedtuple("Factorization", "pairs")):
         return tuple(p for p, _ in self.pairs)
 
 
-def _trial_divide(n: int) -> tuple[list[tuple[int, int]], int, bool]:
-    """(pairs, m, exhausted): n >= 1 trial-divided by the primes up to the
-    bound in force, the cofactor m left, and whether every prime up to
-    min(bound, isqrt(n) + 1) was tried (when not, m is 1 or a prime)."""
+def _trial_divide(n: int, top: int) -> tuple[list[tuple[int, int]], int, bool]:
+    """(pairs, m, exhausted): n >= 1 trial-divided by the primes up to
+    min(bound in force, top), the cofactor m left, and whether every one of
+    those primes was tried (when not, m is 1 or a prime).  top is isqrt(n) + 1
+    for factorize, cbrt(n) for squarefree_kernel (exact there: see it)."""
     pairs = []
     m = n
-    for p in primes_up_to(min(_bound_in_force.get(), math.isqrt(n) + 1)):
+    for p in primes_up_to(min(_bound_in_force.get(), top)):
         if p * p > m:
             return pairs, m, False
         if m % p == 0:
@@ -181,7 +182,7 @@ def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1, or UnfactoredError."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    pairs, m, _ = _trial_divide(n)
+    pairs, m, _ = _trial_divide(n, math.isqrt(n) + 1)
     if m > 1:
         if is_prime(m):
             pairs.append((m, 1))
@@ -203,13 +204,16 @@ def factorize(n: int) -> Factorization:
 def squarefree_kernel(n: int) -> tuple[int, int]:
     """Split n >= 1 as kernel * cofactor**2 with kernel square-free.
 
-    Correct without full factorization: after trial division up to B, a
-    surviving cofactor below B**3 is 1, p, p*q or a perfect square, all of
-    which are handled exactly; anything larger raises UnfactoredError.
+    Correct without full factorization: trial division up to
+    min(B, cbrt(n)) leaves a cofactor whose primes all exceed cbrt(n), so
+    it is 1, p, p*q or p**2; a square, or any cofactor below B**3, is
+    handled exactly, anything else raises UnfactoredError.  A pass up to
+    sqrt(n) gives the same results: it also stops at B when B <= cbrt(n),
+    and when B > cbrt(n) every cofactor is below B**3.
     """
     if n < 1:
         raise ValueError(f"squarefree_kernel requires n >= 1, got {n}")
-    pairs, m, exhausted = _trial_divide(n)
+    pairs, m, exhausted = _trial_divide(n, introot(n, 3))
     kernel = cof = 1
     for p, e in pairs:
         kernel *= p ** (e & 1)

@@ -52,7 +52,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import chain, repeat
+from itertools import chain
 
 from .arith import BudgetError, isqrt
 from .quadfield import FieldContext, QuadInt, sign_plus_sqrt
@@ -367,17 +367,21 @@ def _delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1: int) ->
 def regulator(ctx: FieldContext) -> float:
     """log(eps_d) as the sum of log(alpha_i) over one period.
 
-    The (P, Q) states are the half-period walk's, iterated as slices in
-    period order; no full-period states are held (at most MAX_CF_STEPS
-    steps are walked).  The float result is fixed bit for bit: the terms
-    log((P_i + sqrt d) / Q_i) are added for i = 1..l in period order, left
-    to right, starting from 0.0.  ``sum()`` is not used because from
-    Python 3.12 it compensates float sums, and ``math.fsum`` rounds once
-    at the end; either would change the last bits, and the printed sweeps
-    depend on them.  Per-term float error is ~1e-16, giving ~1e-12
-    relative accuracy for periods in the 1e4 range.
+    The (P, Q) states are the half-period walk's, read through the
+    palindrome (at most MAX_CF_STEPS steps are walked).  The float result
+    is fixed bit for bit: the terms log((P_i + sqrt d) / Q_i) are added for
+    i = 1..l in period order, left to right, from 0.0.  Each numerator is
+    rounded once, for i = 1..j; a second pass continues the sum over the
+    k = l - j states past the midpoint, P_{j+i} = P_{k+1-i} over
+    Q_{j+i} = Q_{k-i}, so every term and every addition is a full walk's.
+    ``sum()`` is not used because from Python 3.12 it compensates float
+    sums, and ``math.fsum`` rounds once at the end; either would change
+    the last bits, and the printed sweeps depend on them.  Per-term float
+    error is ~1e-16, giving ~1e-12 relative accuracy for periods near 1e4.
     """
     quotients, Ps, Qs, odd = _half_cycle(ctx.d, MAX_CF_STEPS)
-    Ps, Qs = _period_states(Ps, Qs, len(quotients) - (1 if odd else 2))
-    alphas = map(operator.truediv, map(operator.add, Ps, repeat(math.sqrt(ctx.d))), Qs)
-    return reduce(operator.add, map(math.log, alphas), 0.0)
+    k = len(quotients) - (1 if odd else 2)
+    sqrt_d = math.sqrt(ctx.d)
+    nums = [P + sqrt_d for P in Ps[1:]]
+    r = reduce(operator.add, map(math.log, map(operator.truediv, nums, Qs[1:])), 0.0)
+    return reduce(operator.add, map(math.log, map(operator.truediv, reversed(nums[:k]), reversed(Qs[:k]))), r)

@@ -10,6 +10,9 @@ both signed norms, reducing each discriminant m^2 -+ 4 mu to its
 square-free kernel.  The two routes are independent, so they cross-check
 each other: the test suite counts E_mu field by field from the first, and
 its per-field oracle scans associate classes for mu outside that range.
+E_mu counts only the larger root (m + f sqrt d)/2, f > 0, of each
+X^2 - mX +- mu, so a minimal element with f < 0, such as 3 - sqrt 2 of
+norm 7, is not counted; theorem_upper_ok is the plain count < 2 x_bound.
 """
 
 from __future__ import annotations

@@ -372,6 +372,54 @@ def e_mu_consider(mu: int, x_bound) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
+_trial_primes: list[int] = []
+
+
+def kernel_by_full_trial_range(n: int, bound: int) -> tuple[int, int]:
+    """(kernel, cofactor) of n >= 1 by trial division up to min(bound, isqrt(n) + 1).
+
+    The square-free kernel's pass before it stopped at the cube root: it
+    stops early once p * p exceeds the cofactor m left (then m is 1 or a
+    prime); otherwise a surviving m is a square, or square-free below
+    bound**3, or refused with ArithmeticError and the library's message.
+    """
+    global _trial_primes
+    top = min(bound, math.isqrt(n) + 1)
+    if not _trial_primes or _trial_primes[-1] < top:
+        flags = bytearray([1]) * (2 * top + 1)
+        flags[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(2 * top) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, 2 * top + 1, p)))
+        _trial_primes = [i for i, f in enumerate(flags) if f]
+    kernel = cof = 1
+    m = n
+    exhausted = True
+    stop = min(top, math.isqrt(m))
+    for p in _trial_primes:
+        if p > stop:  # past top, or p * p > m
+            exhausted = p > top
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            kernel *= p ** (e & 1)
+            cof *= p ** (e >> 1)
+            stop = min(top, math.isqrt(m))
+    if m > 1:
+        if not exhausted:
+            kernel *= m
+        elif math.isqrt(m) ** 2 == m:
+            cof *= math.isqrt(m)
+        elif m < bound**3:
+            kernel *= m
+        else:
+            raise ArithmeticError(f"cofactor {m} of {n} not resolved within budget {bound}")
+    return kernel, cof
+
+
 def float_value(a: int, b: int, d: int, half: bool) -> float:
     """Value of a + b*w[d] using 200-bit fixed point, returned as float."""
     prec = 200

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from oracles import kernel_by_full_trial_range
 
 from quadunit import arith
 from quadunit.arith import (
@@ -244,3 +245,68 @@ def test_kernel_resolves_the_cube_window():
             assert squarefree_kernel(p * q) == (p * q, 1)
             with pytest.raises(UnfactoredError, match=f"cofactor {p * q} of {p * q} not factored within budget {bound}$"):
                 factorize(p * q)
+
+
+def _outcomes(ns, budget) -> list:
+    """(n, kernel's outcome, oracle's outcome) wherever the two differ, for
+    n in ns under budget; an outcome is a (kernel, cofactor) pair or an
+    error message."""
+    differ = []
+    with factor_budget(budget):
+        for n in ns:
+            try:
+                got = squarefree_kernel(n)
+            except UnfactoredError as exc:
+                got = str(exc)
+            try:
+                want = kernel_by_full_trial_range(n, budget)
+            except ArithmeticError as exc:
+                want = str(exc)
+            if got != want:
+                differ.append((n, got, want))
+    return differ
+
+
+TRIAL_BUDGETS = (10, 11, 100, 1000, arith.DEFAULT_TRIAL_BOUND)
+
+
+def test_kernel_matches_the_full_trial_range():
+    # trial division up to cbrt(n) gives the pair, or the message, that the
+    # pass up to sqrt(n) + 1 gives, under the same bound**3 refusal rule
+    r = random.Random(31)
+    ns = [*range(1, 60_000), *(r.randrange(1, 10**12) for _ in range(10**4)),
+          *(p * p * q for p in (1009, 10_007) for q in range(1, 1000))]
+    for budget in TRIAL_BUDGETS:
+        assert _outcomes(ns, budget) == [], budget
+
+
+def test_kernel_trial_range_boundaries():
+    # a prime of 1009 >= 10**3 is refused, as before
+    with factor_budget(10):
+        with pytest.raises(UnfactoredError, match="^cofactor 1009 of 1009 not resolved within budget 10$"):
+            squarefree_kernel(1009)
+    # [B**3, (B + 1)**3): cbrt(n) and B have the same floor, so both passes
+    # try the same primes, and the window both resolves and refuses
+    for bound in (10, 100):
+        ns = range(bound**3, (bound + 1) ** 3)
+        assert _outcomes(ns, bound) == [], bound
+        with factor_budget(bound):
+            refused = sum(1 for n in ns if not _resolves(n))
+        assert 0 < refused < len(ns), bound
+    # q**2 (q - 1): q = cbrt(n) + 1 is the least integer past the range,
+    # and the square q**2 is left after the pass
+    for q in (1009, 10_007, 1_000_003):
+        n = q * q * (q - 1)
+        assert introot(n, 3) == q - 1
+        for budget in TRIAL_BUDGETS:
+            assert _outcomes([n, q * q], budget) == [], (q, budget)
+        kernel, cof = squarefree_kernel(n)
+        assert kernel * cof * cof == n and cof % q == 0
+
+
+def _resolves(n) -> bool:
+    try:
+        squarefree_kernel(n)
+    except UnfactoredError:
+        return False
+    return True

@@ -23,7 +23,7 @@ from quadunit.contfrac import (
 )
 from quadunit.cli import main
 from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
-from quadunit.survey import minimal_elements, negative_pell, split_identity_check
+from quadunit.survey import minimal_elements, negative_pell, split_identity_check, theorem_bound_sweep
 
 from oracles import (
     alpha_product,
@@ -84,6 +84,16 @@ def test_half_period_walk_matches_linear_walk():
 def test_half_period_walk_matches_linear_walk_large(d):
     assume(is_squarefree(d))
     _assert_matches_linear_walk(d)
+
+
+def test_bound_sweep_regulators_match_linear_walk():
+    # bit for bit on the sweep's own radicands, which reach past 3e5
+    top = 0
+    for mu in (2, 3, 5, 7):
+        for row in theorem_bound_sweep(mu, 600).rows:
+            assert row.log_eps == linear_regulator(row.d), (mu, row.trace, row.d)
+            top = max(top, row.d)
+    assert top > 3 * 10**5
 
 
 def test_walk_step_budget(monkeypatch):
@@ -456,12 +466,12 @@ def test_regulator_against_mpmath():
     # independent high-precision log of the exact unit coordinates
     import mpmath
 
-    mpmath.mp.dps = 120
-    for d in (94, 9199, 9949):
-        ctx = field_context(d)
-        u, v = fundamental_unit(ctx).half_coords()
-        exact = float(mpmath.log((u + v * mpmath.sqrt(d)) / 2))
-        assert abs(regulator(ctx) - exact) <= 1e-9 * exact, d
+    with mpmath.workdps(120):
+        for d in (94, 9199, 9949):
+            ctx = field_context(d)
+            u, v = fundamental_unit(ctx).half_coords()
+            exact = float(mpmath.log((u + v * mpmath.sqrt(d)) / 2))
+            assert abs(regulator(ctx) - exact) <= 1e-9 * exact, d
 
 
 def test_qi_compare_fundamental_unit():

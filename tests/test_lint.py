@@ -177,6 +177,18 @@ def test_period_read_in_order():
     assert len(functions) == 2 and found == [], (functions, found)
 
 
+def test_regulator_sums_in_order():
+    # the regulator adds its terms left to right: sum() compensates float
+    # sums from Python 3.12 and math.fsum rounds once, and either would
+    # change the last bits of the printed log_eps and residual
+    functions = [fn for name, tree in _library_trees() if name == "contfrac.py" for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "regulator"]
+    found = [node.lineno for fn in functions for node in ast.walk(fn)
+             if (isinstance(node, ast.Name) and node.id in ("sum", "fsum"))
+             or (isinstance(node, ast.Attribute) and node.attr == "fsum")]
+    assert len(functions) == 1 and found == [], found
+
+
 def test_integral_basis_stays_in_quadfield():
     # whether w[d] is (1 + sqrt(d))/2 or sqrt(d) is decided in quadfield
     # alone: other modules use half coordinates (u + v*sqrt(d))/2, or D, e, t

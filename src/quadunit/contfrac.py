@@ -134,13 +134,6 @@ def period_is_odd(d: int) -> bool:
     return _half_cycle(d, MAX_CF_STEPS)[3]
 
 
-def _period_states(P: list[int], Q: list[int], k: int):
-    """(P_1..P_l, Q_1..Q_l), in period order, as iterators over the half
-    walk's P_0..P_j and Q_0..Q_j, where k = l - j states follow the
-    midpoint: P_{j+i} = P_{k+1-i} and Q_{j+i} = Q_{k-i} for i = 1..k."""
-    return chain(P[1:], P[k:0:-1]), chain(Q[1:], reversed(Q[:k]))
-
-
 class CFExpansion:
     """Period, partial quotients, convergents and xi/nu streams for w[d],
     read from the half-period walk through the palindrome."""
@@ -183,9 +176,9 @@ class CFExpansion:
         m = k .. 1 (k = l - j) gives a_n = a_m, P_{n+1} = P_m and
         Q_{n+1} = Q_{m-1}.  nu_n = e Q_{n+1} / 2 as in :meth:`nu`.
         """
-        a, e = self._a, self._e
+        a, P, Q, e = self._a, self._P, self._Q, self._e
         k = self.l - self._j
-        rows = zip(chain(a, a[k:0:-1]), *_period_states(self._P, self._Q, k))
+        rows = zip(chain(a, a[k:0:-1]), chain(P[1:], P[k:0:-1]), chain(Q[1:], reversed(Q[:k])))
         return ((a_n, P_n, Q_n, e * Q_n // 2) for a_n, P_n, Q_n in rows)
 
     def _extend(self, n: int) -> None:

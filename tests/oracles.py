@@ -378,10 +378,10 @@ _trial_primes: list[int] = []
 def kernel_by_full_trial_range(n: int, bound: int) -> tuple[int, int]:
     """(kernel, cofactor) of n >= 1 by trial division up to min(bound, isqrt(n) + 1).
 
-    The square-free kernel's pass before it stopped at the cube root: it
-    stops early once p * p exceeds the cofactor m left (then m is 1 or a
-    prime); otherwise a surviving m is a square, or square-free below
-    bound**3, or refused with ArithmeticError and the library's message.
+    The pass up to sqrt(n) that squarefree_kernel's cube-root pass must
+    agree with: it stops early once p * p exceeds the cofactor m left (then
+    m is 1 or a prime); otherwise a surviving m is a square, or square-free
+    below bound**3, or refused with ArithmeticError and the library's message.
     """
     global _trial_primes
     top = min(bound, math.isqrt(n) + 1)

@@ -280,8 +280,16 @@ def test_kernel_matches_the_full_trial_range():
         assert _outcomes(ns, budget) == [], budget
 
 
+def _resolves(n) -> bool:
+    try:
+        squarefree_kernel(n)
+    except UnfactoredError:
+        return False
+    return True
+
+
 def test_kernel_trial_range_boundaries():
-    # a prime of 1009 >= 10**3 is refused, as before
+    # the prime 1009 >= 10**3 is refused, as before
     with factor_budget(10):
         with pytest.raises(UnfactoredError, match="^cofactor 1009 of 1009 not resolved within budget 10$"):
             squarefree_kernel(1009)
@@ -303,10 +311,3 @@ def test_kernel_trial_range_boundaries():
         kernel, cof = squarefree_kernel(n)
         assert kernel * cof * cof == n and cof % q == 0
 
-
-def _resolves(n) -> bool:
-    try:
-        squarefree_kernel(n)
-    except UnfactoredError:
-        return False
-    return True

@@ -166,8 +166,9 @@ def _trial_divide(n: int, top: int) -> tuple[list[tuple[int, int]], int, bool]:
     for factorize, cbrt(n) for squarefree_kernel (exact there: see it)."""
     pairs = []
     m = n
+    stop = math.isqrt(m)  # p > stop is p * p > m, without a product per prime
     for p in primes_up_to(min(_bound_in_force.get(), top)):
-        if p * p > m:
+        if p > stop:
             return pairs, m, False
         if m % p == 0:
             e = 0
@@ -175,6 +176,7 @@ def _trial_divide(n: int, top: int) -> tuple[list[tuple[int, int]], int, bool]:
                 m //= p
                 e += 1
             pairs.append((p, e))
+            stop = math.isqrt(m)
     return pairs, m, True
 
 

@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", help="write data rows to this path instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for survey bound and survey pell (at most the "
-                        "CPU count); the other sweeps run serially")
+                        help="processes for survey bound and survey pell, this one and N - 1 "
+                        "forked workers (at most the CPU count); the other sweeps run serially")
     parser.add_argument("--precision", type=int, default=256, help="report precision bits (>= 64)")
     parser.add_argument("--cutoff", type=int, default=10**5, help="odd-prime cutoff for density products")
     parser.add_argument("--factor-budget", type=int, default=None,

@@ -18,6 +18,7 @@ norm 7, is not counted; theorem_upper_ok is the plain count < 2 x_bound.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from fractions import Fraction
 from heapq import merge
@@ -365,8 +366,8 @@ class BoundReport(NamedTuple):
     decile_means: tuple[float, ...]  # mean residual per D-decile, D ascending
 
 
-# Sweep chunks per worker (bound and pell sweeps): enough that the
-# costlier high-trace or high-radicand chunks spread evenly over the pool.
+# Sweep chunks per process (bound and pell sweeps): enough that the
+# costlier high-trace or high-radicand chunks spread evenly over them.
 SHARDS_PER_JOB = 8
 
 
@@ -428,27 +429,105 @@ def _sweep(chunk, args: tuple, lo: int, hi: int, jobs: int) -> list:
     """``chunk(*args, a, b)`` over ``SHARDS_PER_JOB * jobs`` contiguous
     ascending chunks [a, b] of [lo, hi], joined in chunk order.
 
-    The chunks run one after another, or on a pool of ``jobs`` processes
-    when jobs > 1.  A chunk costs more the higher its values, so each
-    worker gets several small chunks rather than one large one.  The join
-    does not depend on jobs, and every chunk runs under the trial bound in
-    force for this call (:func:`_run_chunk`).  ``chunk`` and ``args`` are
-    pickled for the pool, so ``chunk`` is a module-level function.
-    jobs < 1 raises ValueError before any chunk runs.
+    The chunks run one after another when jobs = 1, when there is at most
+    one chunk, or where os.fork does not exist; otherwise jobs - 1 forked
+    workers and the caller each run a share of them
+    (:func:`_forked_parts`).  A chunk costs more the higher its values, so
+    each process gets several small chunks rather than one large one.  The join does not depend on jobs, and every chunk runs
+    under the trial bound in force for this call (:func:`_run_chunk`).  A
+    failing sweep raises the error of its lowest failing chunk, as a
+    serial run does.  jobs < 1 raises ValueError before any chunk runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     bound = trial_bound()
     size = max(1, -(-(hi - lo + 1) // (SHARDS_PER_JOB * jobs)))
     tasks = [(chunk, args, a, min(hi, a + size - 1), bound) for a in range(lo, hi + 1, size)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
+    if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+        parts = _forked_parts(tasks, jobs)
     else:
         parts = map(_run_chunk, tasks)
     return [item for part in parts for item in part]
+
+
+def _forked_parts(tasks: list, jobs: int) -> list:
+    """The results of :func:`_run_chunk` on tasks, in task order.
+
+    Share w is tasks[w::jobs].  The caller runs share 0; each other share
+    runs in its own forked worker, which pickles (its results, its first
+    failure) back over a pipe and ends in os._exit, so it never returns
+    into the caller.  Every share stops at its first failing chunk, and
+    the lowest failing chunk's error is raised, so the error is the serial
+    run's.  A worker that ends without a result is a RuntimeError naming
+    its chunks.  Every worker is reaped before this returns or raises; if
+    the caller itself fails or is interrupted, the workers left are killed
+    first.  Forking copies only the calling thread, so the caller must
+    hold no lock another thread could own (the CLI runs one thread).
+    """
+    import pickle  # only a parallel sweep pays its import
+    import signal
+
+    shares = min(jobs, len(tasks))
+    workers = []  # (share, pid, read end of its pipe), in share order
+    reaped = set()
+    try:
+        for w in range(1, shares):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(rfd)
+                    for _, _, fd in workers:
+                        os.close(fd)
+                    with open(wfd, "wb") as out:
+                        pickle.dump(_run_share(tasks, w, shares), out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers.append((w, pid, rfd))
+            os.close(wfd)
+        outcomes = [_run_share(tasks, 0, shares)]
+        for w, pid, rfd in workers:
+            with open(rfd, "rb", closefd=False) as fh:
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code or not payload:
+                ranges = ", ".join(f"[{a}, {b}]" for _, _, a, b, _ in tasks[w::shares])
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"sweep worker for chunks {ranges} ended without a result ({how})")
+            outcomes.append(pickle.loads(payload))
+    finally:
+        for _, pid, rfd in workers:
+            os.close(rfd)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    parts = [None] * len(tasks)
+    for w, (done, _) in enumerate(outcomes):
+        parts[w::shares] = done
+    return parts
+
+
+def _run_share(tasks: list, first: int, step: int) -> tuple:
+    """Chunks tasks[first::step] in order, up to the first that raises:
+    (their results, and (index, exception) of that chunk or None)."""
+    parts = []
+    for i in range(first, len(tasks), step):
+        try:
+            parts.append(_run_chunk(tasks[i]))
+        except Exception as exc:  # sent to the caller, which raises the lowest
+            return parts, (i, exc)
+    return parts, None
 
 
 def _run_chunk(task) -> list:
@@ -509,9 +588,12 @@ def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> li
     reads square-freeness from the sweep's flags and takes eps_d as the
     witness at d itself (:func:`_assert_unit_progression_membership`).
 
-    The radicands 2..n_bound are swept by :func:`_sweep`, so the list
-    does not depend on jobs.  A bound below 2, an unknown route and
-    jobs < 1 raise ValueError before any chunk runs.
+    The radicands 2..n_bound are swept by :func:`_sweep`: jobs > 1 runs
+    them on jobs - 1 forked workers and the caller, and joins the chunks in
+    chunk order, so the list does not depend on jobs.  A failing parallel
+    sweep raises its earliest failing chunk's error, the serial sweep's;
+    without os.fork the sweep runs serially.  A bound below 2, an unknown
+    route and jobs < 1 raise ValueError before any chunk runs.
     """
     if n_bound < 2:
         raise ValueError("bound must be >= 2")

@@ -1,13 +1,14 @@
-import concurrent.futures
 import contextlib
 import errno
 import itertools
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -587,7 +588,7 @@ def test_parallel_bound_sweep_rejects_mu_as_serial(monkeypatch, capsys, mu):
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 300))
 def test_parallel_bound_sweep_matches_serial_property(monkeypatch, capsys, mu, limit):
-    # two pool workers at most, whatever the host reports
+    # two processes at most, whatever the host reports
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ("--format", "csv", "survey", "bound", "--mu", str(mu), "--limit", str(limit))
     assert run_cli("--jobs", "2", *argv, capsys=capsys) == run_cli(*argv, capsys=capsys)
@@ -612,48 +613,47 @@ def test_cf_step_budget_exit_code(monkeypatch, capsys):
         assert err == "budget error: period of w[1000099] not closed within 100 steps\n"
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
-
-    def __init__(self, workers, max_workers):
-        workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _assert_no_children():
+    # every sweep worker has been reaped: this process has no child left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    # the CLI imports the pool from concurrent.futures only when --jobs > 1
-    workers = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(workers, max_workers))
+    # --jobs N forks at most min(N, cpu_count) - 1 workers: the caller runs
+    # one share itself.  forks records the calls this process makes
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ("--format", "csv", "survey", "bound", "--mu", "2", "--limit", "40")
     serial = run_cli(*argv, capsys=capsys)
     assert run_cli("--jobs", "1000", *argv, capsys=capsys) == serial
-    assert workers == [3]
+    assert len(forks) == 2
+    _assert_no_children()
     pell = ("--format", "csv", "survey", "pell", "--limit", "300")
     pell_serial = run_cli(*pell, capsys=capsys)
     assert run_cli("--jobs", "1", *pell, capsys=capsys) == pell_serial
-    assert workers == [3]
+    assert len(forks) == 2
     assert run_cli("--jobs", "1000", *pell, capsys=capsys) == pell_serial
-    assert workers == [3, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    assert len(forks) == 4
+    _assert_no_children()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no fork
     assert run_cli("--jobs", "4", *argv, capsys=capsys) == serial
     assert run_cli("--jobs", "4", *pell, capsys=capsys) == pell_serial
-    assert workers == [3, 3]
+    assert len(forks) == 4
 
 
 def test_pell_rejects_bad_input_before_any_pool(monkeypatch, capsys):
-    workers = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(workers, max_workers))
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def no_chunk(*args):
@@ -666,4 +666,107 @@ def test_pell_rejects_bad_input_before_any_pool(monkeypatch, capsys):
         survey.negative_pell(10, route="x", jobs=2)
     assert run_cli("--jobs", "2", "survey", "pell", "--limit", "1", capsys=capsys) == (
         2, "", "usage error: bound must be >= 2\n")
-    assert workers == []
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_parallel_sweep_budget_error_as_serial(monkeypatch, capsys, jobs):
+    # w[193] is the first radicand whose half walk needs more than 6 steps.
+    # Its chunk, the fourth of 16 (--jobs 2) or the fifth of 24 (--jobs 3),
+    # runs in a worker, and later chunks of the caller's share fail too
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(contfrac, "MAX_CF_STEPS", 6)
+    argv = ("--format", "csv", "survey", "pell", "--limit", "1000")
+    serial = run_cli(*argv, capsys=capsys)
+    assert serial == (1, "", "budget error: period of w[193] not closed within 6 steps\n")
+    assert run_cli("--jobs", jobs, *argv, capsys=capsys) == serial
+    _assert_no_children()
+
+
+def test_parallel_sweep_raises_the_lowest_failing_chunk(monkeypatch, capsys):
+    # --limit 321 at --jobs 2 makes 16 chunks of 20 radicands, [2, 21],
+    # [22, 41], ...: the caller runs the 1st, 3rd, ..., one worker the 2nd,
+    # 4th, ...  A chunk fails at its lowest radicand in failing, as a real
+    # chunk fails at its first bad radicand, whatever the chunk sizes
+    real_chunk = survey._pell_chunk
+
+    def chunk(route, lo, hi):
+        bad = [d for d in failing if lo <= d <= hi]
+        if bad:
+            raise RuntimeError(f"radicand {min(bad)}")
+        return real_chunk(route, lo, hi)
+
+    monkeypatch.setattr(survey, "_pell_chunk", chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--format", "csv", "survey", "pell", "--limit", "321")
+    # lowest in the worker; lowest in the caller; both in the worker's share
+    for failing in ({30, 50}, {50, 70}, {70, 310}):
+        serial = run_cli(*argv, capsys=capsys)
+        assert serial == (3, "", f"internal error: RuntimeError: radicand {min(failing)}\n")
+        assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial, failing
+        _assert_no_children()
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("end, how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL.value}"),
+    (lambda: os._exit(0), "exit status 0"),
+    (_interrupt, "exit status 1"),
+])
+def test_worker_without_a_result_is_an_internal_error(monkeypatch, capsys, end, how):
+    caller = os.getpid()
+    real_chunk = survey._pell_chunk
+
+    def chunk(route, lo, hi):
+        if os.getpid() != caller:
+            end()
+        return real_chunk(route, lo, hi)
+
+    monkeypatch.setattr(survey, "_pell_chunk", chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli("--jobs", "2", "--format", "csv", "survey", "pell", "--limit", "321", capsys=capsys)
+    ranges = ", ".join(f"[{lo}, {lo + 19}]" for lo in range(22, 322, 40))
+    assert (code, out) == (3, "")
+    assert err == f"internal error: RuntimeError: sweep worker for chunks {ranges} ended without a result ({how})\n"
+    _assert_no_children()
+
+
+def test_interrupted_sweep_kills_its_workers(monkeypatch):
+    # the caller is interrupted in its first chunk while its worker sleeps:
+    # the worker is killed and reaped before the interrupt propagates
+    caller = os.getpid()
+
+    def chunk(route, lo, hi):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(10)  # per chunk: a worker not killed holds the test past its limit
+        return []
+
+    monkeypatch.setattr(survey, "_pell_chunk", chunk)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        survey.negative_pell(321, jobs=2)
+    _assert_no_children()
+    assert time.monotonic() - start < 5
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch, capsys):
+    # where os.fork does not exist, --jobs 2 runs every chunk in this
+    # process (a worker's chunks would be recorded in its own copy of ran)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--format", "csv", "survey", "pell", "--limit", "2000")
+    serial = run_cli(*argv, capsys=capsys)
+    real_chunk = survey._pell_chunk
+    ran = []
+
+    def chunk(route, lo, hi):
+        ran.append(lo)
+        return real_chunk(route, lo, hi)
+
+    monkeypatch.setattr(survey, "_pell_chunk", chunk)
+    monkeypatch.delattr(os, "fork")
+    assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
+    assert len(ran) == 2 * survey.SHARDS_PER_JOB
+    _assert_no_children()

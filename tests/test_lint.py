@@ -289,19 +289,24 @@ def test_one_trial_division_pass():
 
 
 def test_one_sweep_pool():
-    # the bound and pell sweeps share one driver: it alone starts the pool,
-    # and every chunk enters its trial budget in one place
-    found = _uses("ProcessPoolExecutor")
-    assert found and set(found) == {"survey.py._sweep"}, found
+    # the bound and pell sweeps share one driver: it, or one helper that
+    # only it calls, forks the workers and ends them, and every chunk
+    # enters its trial budget in one place
+    found = set(_uses("fork")) | set(_uses("_exit"))
+    assert len(found) == 1, found
+    (scope,) = found
+    assert scope == "survey.py._sweep" or set(_uses(scope.rpartition(".")[2])) == {"survey.py._sweep"}, scope
+    assert _uses("ProcessPoolExecutor") == []
     budget = [scope for scope in _uses("factor_budget") if scope.startswith("survey.py.")]  # not the import
     assert budget and set(budget) == {"survey.py._run_chunk"}, budget
 
 
 def test_cli_import_leaves_the_pool_out():
-    # a query that starts no pool does not pay for importing one
-    code = "import sys, quadunit.cli; print('concurrent.futures' in sys.modules)"
+    # a query that runs no parallel sweep does not pay for importing a pool,
+    # or pickle, which only the forked sweep workers use
+    code = "import sys, quadunit.cli; print(sorted({'concurrent.futures', 'pickle'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 def test_cli_import_leaves_dataclasses_out():

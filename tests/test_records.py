@@ -56,7 +56,7 @@ def test_records_are_immutable_values(x):
     with pytest.raises(AttributeError):
         setattr(x, cls._fields[0], getattr(x, cls._fields[0]))
     assert not hasattr(x, "__dict__")
-    assert pickle.loads(pickle.dumps(x)) == x  # the pool pickles rows
+    assert pickle.loads(pickle.dumps(x)) == x  # sweep workers pickle rows
 
 
 def test_quadint_repr_and_no_tuple_arithmetic():
@@ -102,7 +102,7 @@ def test_validated_records_reject_bad_input(cls, args, message):
         # the tuple helpers construct through the same check
         lambda: cls._make(args),
         lambda: GOOD[cls]._replace(**dict(zip(cls._fields, args))),
-        # and so does unpickling, so a bad value cannot reach a pool worker
+        # and so does unpickling, so a bad value cannot reach a sweep worker
         # or come back from one
         lambda: pickle.loads(pickle.dumps(tuple.__new__(cls, args))),
     ]

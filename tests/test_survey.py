@@ -428,7 +428,7 @@ def test_negative_pell_small():
 
 def test_negative_pell_routes_agree():
     assert negative_pell(500, route="cf") == negative_pell(500, route="progression")
-    # a real 2-process pool joins its chunks into the same list
+    # two processes join their chunks into the same list
     assert negative_pell(500, jobs=2) == negative_pell(500) == negative_pell(500, route="cf")
     assert negative_pell(500, route="cf", jobs=2) == negative_pell(500)
 
@@ -574,7 +574,7 @@ def test_bound_sweep_deterministic():
 
 
 def test_bound_sweep_on_a_pool_matches_serial():
-    # a real 2-process pool sweeps the same chunks and merges them in order
+    # two processes sweep the same chunks and merge them in order
     serial = theorem_bound_sweep(2, 300)
     pooled = theorem_bound_sweep(2, 300, jobs=2)
     for name in survey.BoundReport._fields:

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .arith import (
@@ -302,34 +304,73 @@ def _roots_mod_p(A: int, B: int, C: int, p: int):
     return [(-b + rt) * inv2a % p, (-b - rt) * inv2a % p]
 
 
-def _sieve(A: int, B: int, C: int, count: int) -> tuple[list[int], list[int]]:
-    """(square parts, cofactors) of |A k^2 + B k + C| for 0 <= k < count.
+# Values per block of the quadratic sieve: the most that a trace scan or a
+# density count holds at once, whatever the length of its range.
+_BLOCK = 1 << 14
 
-    Every prime p <= P0 = floor(vmax^(1/3)) + 1, vmax the largest |value|,
+
+def _max_abs_value(A: int, B: int, C: int, count: int) -> int:
+    """max |A k^2 + B k + C| over 0 <= k < count.
+
+    On an interval a quadratic takes its largest and least values at the
+    ends and the vertex -B/(2A), so over the integers |value| peaks at an
+    end or at an integer next to the vertex, when that lies in the range.
+    """
+    ks = {0, count - 1}
+    if A:
+        v = -B // (2 * A)  # floor of the vertex
+        ks.update(k for k in (v, v + 1) if 0 <= k < count)
+    return max(abs((A * k + B) * k + C) for k in ks)
+
+
+def _sieve(A: int, B: int, C: int, count: int):
+    """(square parts, cofactors) of |A k^2 + B k + C| for 0 <= k < count,
+    as an iterator over consecutive blocks of at most _BLOCK values.
+
+    Every prime p <= P0 = floor(vmax^(1/3)) + 1, vmax the largest |value|
+    (:func:`_max_abs_value`, from the ends of the range and the vertex),
     is divided out of the values at the roots of the form mod p, with its
-    multiplicity.  A zero value keeps cofactor 0 and square part 1.
+    multiplicity.  The roots are found once for the range; the block
+    starting at lo meets root r first at k = lo + (r - lo) mod p.  A zero
+    value keeps cofactor 0 and square part 1.  The setup runs, and
+    count < 1 raises ValueError, at the call; then only one block of
+    values is held at a time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    vals = [abs((A * k + B) * k + C) for k in range(count)]
-    sq = [1] * count
-    for p in primes_up_to(introot(max(vals), 3) + 1):
-        for r in _roots_mod_p(A, B, C, p):
-            for k in range(r, count, p):
-                v = vals[k] // p
-                if not v:
-                    continue  # a zero value
-                e = 1
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                vals[k] = v
-                if e > 1:
-                    sq[k] *= p ** (e - e % 2)
-    for k, c in enumerate(vals):
-        if c > 1 and is_square(c):
-            sq[k] *= c
-    return sq, vals
+    roots = [(p, r) for p in primes_up_to(introot(_max_abs_value(A, B, C, count), 3) + 1)
+             for r in _roots_mod_p(A, B, C, p)]
+
+    def blocks():
+        for lo in range(0, count, _BLOCK):
+            size = min(_BLOCK, count - lo)
+            vals = [abs((A * k + B) * k + C) for k in range(lo, lo + size)]
+            sq = [1] * size
+            for p, r in roots:
+                for i in range((r - lo) % p, size, p):
+                    v = vals[i] // p
+                    if not v:
+                        continue  # a zero value
+                    e = 1
+                    while v % p == 0:
+                        v //= p
+                        e += 1
+                    vals[i] = v
+                    if e > 1:
+                        sq[i] *= p ** (e - e % 2)
+            for i, c in enumerate(vals):
+                if c > 1 and is_square(c):
+                    sq[i] *= c
+            yield sq, vals
+
+    return blocks()
+
+
+def _flag_blocks(A: int, B: int, C: int, count: int):
+    """The flags of :func:`squarefree_flags_quadratic`, one bytearray per
+    block of :func:`_sieve`."""
+    for sq, cof in _sieve(A, B, C, count):
+        yield bytearray(s == 1 and c != 0 for s, c in zip(sq, cof))
 
 
 def squarefree_flags_quadratic(A: int, B: int, C: int, count: int) -> bytearray:
@@ -342,12 +383,13 @@ def squarefree_flags_quadratic(A: int, B: int, C: int, count: int) -> bytearray:
     vmax^(1/3), not vmax^(1/2), plus one square test per value.  A zero
     value gets flag 0.
     """
-    sq, cof = _sieve(A, B, C, count)
-    return bytearray(s == 1 and c != 0 for s, c in zip(sq, cof))
+    return bytearray().join(_flag_blocks(A, B, C, count))
 
 
-def square_parts_quadratic(A: int, B: int, C: int, count: int) -> list[int]:
-    """sq[k] = largest square dividing |A k^2 + B k + C| (a zero value gets 1).
+def square_parts_quadratic(A: int, B: int, C: int, count: int) -> Iterator[int]:
+    """sq[k] = largest square dividing |A k^2 + B k + C| (a zero value gets 1),
+    for k = 0 .. count - 1 in order, as an iterator that holds one sieve
+    block at a time.  count < 1 raises ValueError at the call.
 
     Exact by the cube bound: the primes up to P0 > vmax^(1/3) are divided
     out with their multiplicity; the nonzero cofactor c <= vmax < P0^3 left
@@ -357,7 +399,7 @@ def square_parts_quadratic(A: int, B: int, C: int, count: int) -> list[int]:
     per value.  The same bound makes :func:`quadunit.arith.squarefree_kernel`
     exact.
     """
-    return _sieve(A, B, C, count)[0]
+    return chain.from_iterable(sq for sq, _ in _sieve(A, B, C, count))
 
 
 def trace_kernels(sigma: int, t_min: int, t_max: int):
@@ -365,7 +407,8 @@ def trace_kernels(sigma: int, t_min: int, t_max: int):
 
     t ascends over [t_min, t_max]; a trace whose discriminant is <= 0 or a
     square is skipped.  The square parts come from one sieve of the form
-    (t_min + k)^2 - 4 sigma, so every trace scan shares its exactness.
+    (t_min + k)^2 - 4 sigma, read block by block, so every trace scan
+    shares its exactness and holds one block of values, whatever its range.
     """
     if t_max < t_min:
         return
@@ -379,11 +422,12 @@ def trace_kernels(sigma: int, t_min: int, t_max: int):
 
 
 def empirical_density(prog: Progression, k_max: int) -> Fraction:
-    """Fraction of k in [0, k_max) with element(k) square-free."""
+    """Fraction of k in [0, k_max) with element(k) square-free, counted
+    block by block: the flags are never held whole."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    flags = squarefree_flags(prog, k_max)
-    return Fraction(sum(flags), k_max)
+    blocks = _flag_blocks(*prog.coefficients(), k_max)
+    return Fraction(sum(block.count(1) for block in blocks), k_max)
 
 
 def squarefree_flags(prog: Progression, k_max: int) -> bytearray:

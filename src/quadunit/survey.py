@@ -21,7 +21,7 @@ import math
 import os
 from collections.abc import Iterator
 from fractions import Fraction
-from heapq import merge
+from itertools import groupby
 from typing import NamedTuple
 
 from .arith import (
@@ -85,9 +85,10 @@ def _below_half_sqrt_disc(ctx: FieldContext, mu: int) -> bool:
 
 
 class EMuEntry(NamedTuple):
-    """xi = (trace + sqrt_coeff sqrt(d))/2 of E_mu.  The fields, in order, are
-    the merge key of :func:`_e_mu_trace`, so each kept candidate is built once,
-    as its entry; (value, trace, signed_norm) decides, as trace and norm fix d."""
+    """xi = (trace + sqrt_coeff sqrt(d))/2 of E_mu.  Each kept candidate of
+    :func:`_e_mu_trace` is built once, as its entry, and the merge orders
+    entries by exact value (:func:`_merge_by_value`); the float value is
+    for reports and the merge's first test."""
 
     value: float
     trace: int
@@ -128,10 +129,10 @@ def e_mu_stream(mu: int, x_bound) -> Iterator[EMuEntry]:
     Scans traces and both signed norms, reading each discriminant's
     square-free kernel from :func:`trace_kernels`, and tests minimality
     on each candidate itself (:func:`_within_unit`), with no unit table.
-    Each kept candidate is built once, as its entry.  Entries come sorted
-    by (value, trace, signed_norm), merged from the two norms'
-    trace-ascending scans: see :func:`_e_mu_trace`.  A bad mu or a negative
-    bound raises ValueError here, before the first entry is asked for.
+    Each kept candidate is built once, as its entry.  Entries come in
+    exact value order, merged from the two norms' trace-ascending scans:
+    see :func:`_e_mu_trace`.  A bad mu or a negative bound raises
+    ValueError here, before the first entry is asked for.
     """
     if mu < 1 or not is_squarefree(mu):
         raise ValueError(f"mu must be a positive square-free integer, got {mu}")
@@ -183,7 +184,7 @@ def _below_bound(m: int, f: int, d: int, x: Fraction) -> bool:
 
 def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
     """The candidates xi = (m + f sqrt d)/2 of norm sigma = +-mu with
-    1 < xi < x and xi <= eps_d, sorted by (value, trace, signed_norm).
+    1 < xi < x and xi <= eps_d, sorted by xi.
 
     Each of the three conditions is decided in integers where integers
     can decide it, and by the exact sign of a + b sqrt(d) only where they
@@ -206,16 +207,18 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
     when sigma = -mu, and for sigma = +mu the scan yields only
     m > 2 sqrt(mu).  trace_kernels yields m ascending, so each norm's
     kept candidates come in value order, and merging the two streams
-    sorts them all.  The float value (m + f*sqrt(d))/2 is off from xi by
-    at most about 2^-53 (|m| + 3 xi).  For sigma = -mu, xi is convex in m,
-    so the closest kept neighbours are its lowest traces, m = 2 - mu and
-    3 - mu, about 1/mu apart; from m = 0 on, and for sigma = +mu, they
-    are at least 1/2 apart.  For mu <= 2^24 and x < 2^48 each gap is over ten
-    times the two floats' error (and the norm -mu sieve spans over 2^25
-    traces), so float values keep the exact order and the merge gives
-    the same list as one sort by (value, trace, signed_norm).  No two
-    entries share that key: trace and norm fix f^2 d = m^2 - 4 sigma,
-    hence d and f.
+    sorts them all.  The merge (:func:`_merge_by_value`) compares only
+    heads of different norms, and exactly: by their floats when they lie
+    further apart than the floats' error, and otherwise by the sign of
+    the difference, which two squarings decide in integers.  The float
+    (m + f*sqrt(d))/2, with d, f and m rounded to floats, is off from xi
+    by at most 2^-53 (4.5 xi + 2.25 |m|) < 2^-50 (xi + |m|), within the
+    merge's slack.  So the entries come in exact value order for every
+    mu and x; no two share a value (:func:`_below`), and where the floats
+    can tell two values apart that is the order of (value, trace,
+    signed_norm).  At one trace m the two norms' roots lie about 2 mu/m
+    apart, against a float error near 2^-50 (xi + |m|), so the exact
+    sign is needed only at large traces or a large mu.
     """
     if x <= 1:
         return
@@ -233,8 +236,46 @@ def _e_mu_trace(mu: int, x: Fraction) -> Iterator[EMuEntry]:
 
     # norm -mu admits elements > 1 with slightly negative trace
     # (down to -(mu - 2): (m + sqrt(m^2 + 4 mu))/2 > 1 forces |m| < mu - 1)
-    yield from merge(*[kept(sigma, trace_kernels(sigma, m_min, m_max))
-                       for sigma, m_min in ((mu, 0), (-mu, -mu))])
+    yield from _merge_by_value(*[kept(sigma, trace_kernels(sigma, m_min, m_max))
+                                 for sigma, m_min in ((mu, 0), (-mu, -mu))], mu)
+
+
+# The floats of two entries of norms +-mu are off from their exact values
+# by less than _VALUE_SLACK * (value_1 + value_2 + mu) together: see
+# _e_mu_trace, with |m| < xi + mu.
+_VALUE_SLACK = 2.0 ** -48
+
+
+def _merge_by_value(a: Iterator[EMuEntry], b: Iterator[EMuEntry], mu: int) -> Iterator[EMuEntry]:
+    """The entries of two value-ascending streams, of norms mu and -mu,
+    merged by exact value.  Heads whose floats lie further apart than the
+    floats' error go out by the floats; closer heads by :func:`_below`."""
+    x, y = next(a, None), next(b, None)
+    while x is not None and y is not None:
+        gap, slack = y.value - x.value, _VALUE_SLACK * (x.value + y.value + mu)
+        if gap > slack or (gap >= -slack and _below(x, y)):
+            yield x
+            x = next(a, None)
+        else:
+            yield y
+            y = next(b, None)
+    for head, rest in ((x, a), (y, b)):
+        if head is not None:
+            yield head
+            yield from rest
+
+
+def _below(x: EMuEntry, y: EMuEntry) -> bool:
+    """xi_x < xi_y exactly: the sign of (m_x - m_y) + f_x sqrt(d_x) -
+    f_y sqrt(d_y).  If L = (m_x - m_y) + f_x sqrt(d_x) > 0, that is the
+    sign of L^2 - f_y^2 d_y; else it is negative, as f_y sqrt(d_y) > 0.
+    Entries of different norms never have equal values: 1, sqrt(d_x) and
+    sqrt(d_y) are independent over Q when d_x != d_y, and d_x = d_y would
+    force equal traces and f, hence equal norms."""
+    a, f = x.trace - y.trace, x.sqrt_coeff
+    if sign_plus_sqrt(a, f, x.d) <= 0:
+        return True
+    return sign_plus_sqrt(a * a + f * f * x.d - y.sqrt_coeff ** 2 * y.d, 2 * a * f, x.d) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +301,11 @@ def f_mu(mu: int, n_bound: int) -> FMuReport:
     liminf = 2.0 ** -factorize(abs(mu)).omega()
     if n_bound <= 2:
         return FMuReport(mu, n_bound, 0, 0.0, liminf, ())
-    kernels = {d for _, d, _ in trace_kernels(mu, 2, n_bound - 1)}
-    return FMuReport(
-        mu,
-        n_bound,
-        len(kernels),
-        len(kernels) / n_bound,
-        liminf,
-        tuple(sorted(kernels)),
-    )
+    # one sorted list, repeats dropped as it is read, peaks at about half
+    # the memory of a set of the kernels
+    found = sorted(d for _, d, _ in trace_kernels(mu, 2, n_bound - 1))
+    kernels = tuple(d for d, _ in groupby(found))
+    return FMuReport(mu, n_bound, len(kernels), len(kernels) / n_bound, liminf, kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +636,29 @@ def negative_pell(n_bound: int, route: str = "progression", jobs: int = 1) -> li
         raise ValueError("bound must be >= 2")
     if route not in ("cf", "progression"):
         raise ValueError(f"unknown route {route!r}")
-    return _sweep(_pell_chunk, (route,), 2, n_bound, jobs)
+    return _sweep(_pell_chunk, (route, _pell_flags(route, n_bound)), 2, n_bound, jobs)
 
 
-def _pell_chunk(route: str, lo: int, hi: int) -> list[int]:
-    """The radicands in [lo, hi] of the negative Pell sweep, ascending.
-    The progression route first clears multiples of primes p = 3 (mod 4),
-    and checks each radicand it keeps against its unit right after the
-    parity read, while the walk memo still holds that radicand's walk.
-    The check's start scan reads those cleared flags and the unit in
-    hand, not trial division and a rebuilt unit."""
-    flags = squarefree_integers_upto(hi)
+def _pell_flags(route: str, n_bound: int) -> bytearray:
+    """The sweep's flags of 0..n_bound, built once before the chunks run
+    (forked workers inherit them): square-freeness, and for the
+    progression route cleared of every multiple of a prime p = 3 (mod 4)."""
+    flags = squarefree_integers_upto(n_bound)
     if route == "progression":
         # a composite p was cleared by its smaller prime factor 3 (mod 4)
-        for p in range(3, hi + 1, 4):
+        for p in range(3, n_bound + 1, 4):
             if flags[p]:
-                flags[p::p] = bytes(len(range(p, hi + 1, p)))
+                flags[p::p] = bytes(len(range(p, n_bound + 1, p)))
+    return flags
+
+
+def _pell_chunk(route: str, flags: bytearray, lo: int, hi: int) -> list[int]:
+    """The radicands in [lo, hi] of the negative Pell sweep, ascending,
+    read from the sweep's flags (:func:`_pell_flags`, hi at most their
+    bound).  The progression route checks each radicand it keeps against
+    its unit right after the parity read, while the walk memo still holds
+    that radicand's walk.  The check's start scan reads the cleared flags
+    and the unit in hand, not trial division and a rebuilt unit."""
     out = []
     for d in range(lo, hi + 1):
         if not (flags[d] and period_is_odd(d)):
@@ -632,14 +676,15 @@ def _assert_unit_progression_membership(eps: QuadInt, flags: bytearray) -> None:
     """Re-derive d from the mu = -1 progression of the unit's index pair.
 
     eps = eps_d has norm -1, and flags are the sweep's square-free flags
-    of 0..hi, d <= hi, cleared of every multiple of a prime p = 3 (mod 4).
+    of 0..N (:func:`_pell_flags`), d <= N, cleared of every multiple of a
+    prime p = 3 (mod 4).
     The start scan, :func:`unit_progression`, returns the Progression
     build_progression(pair) would, from two facts:
 
     - the flags decide every candidate.  With (pair, n) = pair_of(-1, u, v),
       a candidate n' < n has d(n') = (u'^2 + 4)/v^2, where
       u' = 2x + (2n' + j) y >= 0 rises with n' up to u' = u at n, so
-      d(n') < d <= hi.  An odd prime p | u'^2 + 4 does not divide u' and
+      d(n') < d <= N.  An odd prime p | u'^2 + 4 does not divide u' and
       makes -4, hence -1, a square mod p, so p = 1 (mod 4): no prime
       p = 3 (mod 4) divides d(n'), the clearing left its flag alone, and
       the flag is its square-freeness;

@@ -445,7 +445,7 @@ def test_parallel_pell_keeps_the_budget(monkeypatch, capsys):
     assert run_cli(*argv, capsys=capsys) == serial
     assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
     with pytest.raises(UnfactoredError):
-        survey._run_chunk((survey._pell_chunk, ("progression",), 2, 2000, 10))
+        survey._run_chunk((survey._pell_chunk, ("progression", survey._pell_flags("progression", 2000)), 2, 2000, 10))
 
 
 def test_factor_budget_flag_does_not_leak(capsys):
@@ -689,11 +689,11 @@ def test_parallel_sweep_raises_the_lowest_failing_chunk(monkeypatch, capsys):
     # chunk fails at its first bad radicand, whatever the chunk sizes
     real_chunk = survey._pell_chunk
 
-    def chunk(route, lo, hi):
+    def chunk(route, flags, lo, hi):
         bad = [d for d in failing if lo <= d <= hi]
         if bad:
             raise RuntimeError(f"radicand {min(bad)}")
-        return real_chunk(route, lo, hi)
+        return real_chunk(route, flags, lo, hi)
 
     monkeypatch.setattr(survey, "_pell_chunk", chunk)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -719,10 +719,10 @@ def test_worker_without_a_result_is_an_internal_error(monkeypatch, capsys, end, 
     caller = os.getpid()
     real_chunk = survey._pell_chunk
 
-    def chunk(route, lo, hi):
+    def chunk(route, flags, lo, hi):
         if os.getpid() != caller:
             end()
-        return real_chunk(route, lo, hi)
+        return real_chunk(route, flags, lo, hi)
 
     monkeypatch.setattr(survey, "_pell_chunk", chunk)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -738,7 +738,7 @@ def test_interrupted_sweep_kills_its_workers(monkeypatch):
     # the worker is killed and reaped before the interrupt propagates
     caller = os.getpid()
 
-    def chunk(route, lo, hi):
+    def chunk(route, flags, lo, hi):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(10)  # per chunk: a worker not killed holds the test past its limit
@@ -752,6 +752,30 @@ def test_interrupted_sweep_kills_its_workers(monkeypatch):
     assert time.monotonic() - start < 5
 
 
+def test_pell_flags_are_sieved_once_per_sweep(monkeypatch, capsys, tmp_path):
+    # the sweep sieves its flags once, before any chunk runs, and its chunks
+    # and forked workers read them: one call in the caller, none in a worker
+    # (a file records the calls of every process)
+    calls = tmp_path / "calls"
+    real_sieve = survey.squarefree_integers_upto
+
+    def sieve(n):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {n}\n")
+        return real_sieve(n)
+
+    monkeypatch.setattr(survey, "squarefree_integers_upto", sieve)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--format", "csv", "survey", "pell", "--limit", "2000")
+    serial = run_cli(*argv, capsys=capsys)
+    assert calls.read_text() == f"{os.getpid()} 2000\n"
+    calls.unlink()
+    assert run_cli("--jobs", "2", *argv, capsys=capsys) == serial
+    assert calls.read_text() == f"{os.getpid()} 2000\n"
+    assert serial[0] == 0 and serial[1].split() == ["d", *map(str, survey.negative_pell(2000, route="cf"))]
+    _assert_no_children()
+
+
 def test_sweep_without_fork_runs_serially(monkeypatch, capsys):
     # where os.fork does not exist, --jobs 2 runs every chunk in this
     # process (a worker's chunks would be recorded in its own copy of ran)
@@ -761,9 +785,9 @@ def test_sweep_without_fork_runs_serially(monkeypatch, capsys):
     real_chunk = survey._pell_chunk
     ran = []
 
-    def chunk(route, lo, hi):
+    def chunk(route, flags, lo, hi):
         ran.append(lo)
-        return real_chunk(route, lo, hi)
+        return real_chunk(route, flags, lo, hi)
 
     monkeypatch.setattr(survey, "_pell_chunk", chunk)
     monkeypatch.delattr(os, "fork")

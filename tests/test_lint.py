@@ -234,7 +234,7 @@ def test_e_mu_merges_two_scans():
     calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
              for node in ast.walk(trace) if isinstance(node, ast.Call)
              and isinstance(node.func, (ast.Name, ast.Attribute))}
-    assert "merge" in calls and not calls & {"sort", "sorted", "bisect_left"}, calls
+    assert "_merge_by_value" in calls and not calls & {"sort", "sorted", "bisect_left"}, calls
     # the merge key is the entry itself: each kept candidate is built once,
     # as an EMuEntry inside the scan generator kept, and the merge's output
     # is yielded as it is, not unpacked and re-built in a loop
@@ -246,7 +246,7 @@ def test_e_mu_merges_two_scans():
 
     assert builds(trace) == builds(kept) != []
     loops = [node.iter for node in ast.walk(trace) if isinstance(node, (ast.For, ast.comprehension))]
-    assert not [it for it in loops if isinstance(it, ast.Call) and getattr(it.func, "id", None) == "merge"]
+    assert not [it for it in loops if isinstance(it, ast.Call) and getattr(it.func, "id", None) == "_merge_by_value"]
     defined = [node.lineno for node in ast.walk(trees["survey.py"])
                if (isinstance(node, ast.FunctionDef) and node.name == "_trace_blocks")
                or (isinstance(node, ast.Name) and node.id == "E_MU_BLOCK")]

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -278,7 +279,7 @@ def test_square_parts_quadratic_vs_factorization():
         for t0 in (2, 7, 40):
             forms.append((1, 2 * t0, t0 * t0 - 4 * mu))
     for (A, B, C) in forms:
-        sq = square_parts_quadratic(A, B, C, 300)
+        sq = list(square_parts_quadratic(A, B, C, 300))
         assert len(sq) == 300
         for k in range(300):
             v = abs(A * k * k + B * k + C)
@@ -291,7 +292,7 @@ def test_square_parts_quadratic_vs_factorization():
 
 def _assert_sieve_matches_kernel(A, B, C, count):
     flags = squarefree_flags_quadratic(A, B, C, count)
-    sq = square_parts_quadratic(A, B, C, count)
+    sq = list(square_parts_quadratic(A, B, C, count))
     assert len(flags) == len(sq) == count
     for k in range(count):
         v = abs(A * k * k + B * k + C)
@@ -344,11 +345,71 @@ def test_quadratic_sieve_cube_bound_edge():
     # above P0, square-free.
     count = 1000
     assert introot(999 * 999 + 1, 3) + 1 == 100
-    sq = square_parts_quadratic(1, 0, 1, count)
+    sq = list(square_parts_quadratic(1, 0, 1, count))
     flags = squarefree_flags_quadratic(1, 0, 1, count)
     assert 515 * 515 + 1 == 2 * 13 * 101**2 and (sq[515], flags[515]) == (101**2, 0)
     assert 254 * 254 + 1 == 149 * 433 and (sq[254], flags[254]) == (1, 1)
     _assert_sieve_matches_kernel(1, 0, 1, count)
+
+
+# Blocks of seven values: a range of up to 60 values spans up to nine blocks.
+_SMALL_BLOCK = 7
+
+
+def _edge_forms():
+    # a range that ends on a block multiple; a zero value on either side of a
+    # block edge; a concave form whose largest |value| is at an interior vertex
+    edges = st.sampled_from([_SMALL_BLOCK * i + j for i in range(1, 9) for j in (-1, 0)])
+    block_counts = st.integers(1, 8).map(lambda i: _SMALL_BLOCK * i)
+    return st.one_of(
+        st.tuples(st.integers(-20, 20), st.integers(-200, 200), st.integers(-2000, 2000), block_counts),
+        st.builds(lambda a, r1, r2, count: (a, -a * (r1 + r2), a * r1 * r2, count),
+                  st.integers(-20, 20), edges, st.integers(-60, 60), st.integers(1, 60)),
+        st.builds(lambda a, v, c, count: (-a, 2 * a * v, c, count),
+                  st.integers(1, 20), st.integers(1, 58), st.integers(-2000, 2000), st.integers(60, 61)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_edge_forms(), _sieve_forms))
+def test_quadratic_sieve_block_edges(form):
+    # the sieve in blocks of seven values gives the whole-range answers, and
+    # its P0 reads the largest |value| from the ends and the vertex
+    A, B, C, count = form
+    assert progressions._max_abs_value(A, B, C, count) == max(abs((A * k + B) * k + C) for k in range(count))
+    with mock.patch.object(progressions, "_BLOCK", _SMALL_BLOCK):
+        _assert_sieve_matches_kernel(A, B, C, count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-60, 60), st.integers(-70, 300), st.sampled_from([0, 5, 6, 7, 13, 14, 20, 62, 63, 64]))
+def test_trace_kernels_block_edges(sigma, t_min, span):
+    # trace scans of up to ten blocks of seven, ending on and next to a block
+    # edge, with negative traces (the norm -mu scan of survey e-mu)
+    with mock.patch.object(progressions, "_BLOCK", _SMALL_BLOCK):
+        _assert_trace_kernels_match_kernel(sigma, t_min, t_min + span)
+
+
+@pytest.mark.parametrize("block", [7, 254, 255, 515, 516])
+def test_quadratic_sieve_cube_bound_edge_across_blocks(block):
+    # test_quadratic_sieve_cube_bound_edge with a block edge at or next to
+    # the two values it pins, k = 254 and k = 515
+    with mock.patch.object(progressions, "_BLOCK", block):
+        test_quadratic_sieve_cube_bound_edge()
+
+
+def test_quadratic_sieve_interior_vertex():
+    # -k^2 + 40 k + 3 over 0 <= k <= 40: the ends are 3 and the vertex value
+    # is 403, so P0 is 8, not the ends' 2.  k = 4 gives 147 = 3 * 7^2, whose
+    # cofactor 147 would pass as square-free with the ends' P0
+    A, B, C, count = -1, 40, 3, 41
+    assert introot(3, 3) + 1 == 2 and introot(403, 3) + 1 == 8
+    assert progressions._max_abs_value(A, B, C, count) == 403 == (A * 20 + B) * 20 + C
+    assert 4 * 36 + 3 == 3 * 7**2
+    assert list(square_parts_quadratic(A, B, C, count))[4] == 7**2
+    assert squarefree_flags_quadratic(A, B, C, count)[4] == 0
+    with mock.patch.object(progressions, "_BLOCK", _SMALL_BLOCK):
+        _assert_sieve_matches_kernel(A, B, C, count)
 
 
 def test_quadratic_sieve_matches_mod_p2_oracle():
@@ -359,14 +420,17 @@ def test_quadratic_sieve_matches_mod_p2_oracle():
     # the trace discriminants m^2 -+ 4 mu, square parts
     for mu in (1, 2, 3, 5, 7):
         for C in (-4 * mu, 4 * mu):
-            assert square_parts_quadratic(1, 0, C, 10**5) == square_parts_mod_p2(1, 0, C, 10**5), (mu, C)
+            assert list(square_parts_quadratic(1, 0, C, 10**5)) == square_parts_mod_p2(1, 0, C, 10**5), (mu, C)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-60, 60), st.integers(0, 300), st.integers(-5, 400))
 def test_trace_kernels_match_kernel(sigma, t_min, span):
     # span < 0 draws empty ranges
-    t_max = t_min + span
+    _assert_trace_kernels_match_kernel(sigma, t_min, t_min + span)
+
+
+def _assert_trace_kernels_match_kernel(sigma, t_min, t_max):
     got = list(trace_kernels(sigma, t_min, t_max))
     assert [t for t, _, _ in got] == sorted({t for t, _, _ in got})
     yielded = {t: (d, f) for t, d, f in got}

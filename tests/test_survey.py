@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadunit import contfrac, progressions, survey
 from quadunit.arith import is_square, is_squarefree
 from quadunit.contfrac import fundamental_unit
-from quadunit.progressions import build_progression, trace_kernels, unit_progression
+from quadunit.progressions import IndexPair, build_progression, empirical_density, trace_kernels, unit_progression
 from quadunit.quadfield import QuadInt, field_context, qi_compare, sign_plus_sqrt
 from quadunit.survey import (
     E_mu,
+    EMuEntry,
     FMuReport,
     f_mu,
     minimal_elements,
@@ -311,22 +315,89 @@ def test_e_mu_stream_walks_no_period():
     assert contfrac._half_cycle.cache_info().misses == before
 
 
+def _traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_e_mu_stream_holds_no_whole_list():
     # reading the stream holds the two merge heads, not every entry (E_mu's
     # report does) or a tuple per field
-    import tracemalloc
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    streamed = peak(lambda: sum(1 for _ in survey.e_mu_stream(3, 10**4)))
-    collected = peak(lambda: E_mu(3, 10**4))
+    streamed = _traced_peak(lambda: sum(1 for _ in survey.e_mu_stream(3, 10**4)))
+    collected = _traced_peak(lambda: E_mu(3, 10**4))
     assert streamed < 0.3 * collected, (streamed, collected)
+
+
+# The trace sieves and the density count hold one block of values, so eight
+# times the range may add no more than this to the traced peak.
+_BLOCK_SLACK = 2 * 2**20
+
+
+def test_e_mu_stream_memory_does_not_grow_with_the_limit():
+    small = _traced_peak(lambda: sum(1 for _ in survey.e_mu_stream(3, 50_000)))
+    large = _traced_peak(lambda: sum(1 for _ in survey.e_mu_stream(3, 400_000)))
+    assert large < small + _BLOCK_SLACK, (small, large)
+
+
+def test_empirical_density_memory_does_not_grow_with_k_max():
+    prog = build_progression(IndexPair(5, 0, 11, 4))
+    small = _traced_peak(lambda: empirical_density(prog, 100_000))
+    large = _traced_peak(lambda: empirical_density(prog, 800_000))
+    assert large < small + _BLOCK_SLACK, (small, large)
+
+
+def _entry(m, sigma):
+    """The entry of trace m and norm sigma with f = 1: d = m^2 - 4 sigma."""
+    d = m * m - 4 * sigma
+    return EMuEntry((m + math.sqrt(d)) / 2.0, m, sigma, d, 1)
+
+
+def _exact_below(x, y) -> bool:
+    # x - y is an algebraic integer of degree <= 4 whose conjugates are at
+    # most B, so |x - y| >= B^-3 when it is not 0
+    import mpmath
+
+    bound = abs(x.trace) + abs(y.trace) + (x.sqrt_coeff + y.sqrt_coeff) * (math.isqrt(max(x.d, y.d)) + 1)
+    with mpmath.workprec(3 * bound.bit_length() + 64):
+        return x.trace + x.sqrt_coeff * mpmath.sqrt(x.d) < y.trace + y.sqrt_coeff * mpmath.sqrt(y.d)
+
+
+def test_e_mu_merge_orders_heads_whose_floats_tie():
+    # the two roots of X^2 - mX -+ 1 lie about 2/m apart; at m = 2^60 their
+    # floats, and those of the next traces, are equal, so the order comes
+    # from the exact sign.  By (value, trace, signed_norm) the norm -1
+    # root, the larger, would come first
+    m = 2**60
+    plus, minus = _entry(m, 1), _entry(m, -1)
+    assert plus.value == minus.value == _entry(m + 1, 1).value and minus < plus
+    for a, b in ((plus, minus), (minus, plus)):
+        assert list(survey._merge_by_value(iter([a]), iter([b]), 1)) == [plus, minus]
+    # two streams of near-tied heads: plus(m), minus(m), plus(m + 1), ...
+    pluses = [_entry(m + i, 1) for i in range(6)]
+    minuses = [_entry(m + i, -1) for i in range(6)]
+    merged = list(survey._merge_by_value(iter(pluses), iter(minuses), 1))
+    assert merged == [e for pair in zip(pluses, minuses) for e in pair]
+    assert all(_exact_below(x, y) for x, y in zip(merged, merged[1:]))
+
+
+_squarefree_d = st.integers(2, 10**6).filter(lambda d: is_squarefree(d) and not is_square(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**3), _squarefree_d),
+       st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**3), _squarefree_d))
+def test_exact_head_order_matches_mpmath(first, second):
+    # _below is the exact order of two entries, tied floats or not
+    (m1, f1, d1), (m2, f2, d2) = first, second
+    x, y = EMuEntry(0.0, m1, 1, d1, f1), EMuEntry(0.0, m2, -1, d2, f2)
+    if (m1, f1, d1) != (m2, f2, d2):
+        assert survey._below(x, y) == _exact_below(x, y)
+        assert survey._below(y, x) == _exact_below(y, x)
 
 
 def test_e_mu_upper_bound():
@@ -480,7 +551,7 @@ def test_negative_pell_rejects_a_unit_against_its_parity(monkeypatch):
     # an odd period with a unit of norm +1 is a fault, never a skip
     monkeypatch.setattr(survey, "fundamental_unit", lambda ctx: fundamental_unit(ctx) * fundamental_unit(ctx))
     with pytest.raises(AssertionError, match="is odd but N"):
-        survey._pell_chunk("progression", 2, 50)
+        survey._pell_chunk("progression", survey._pell_flags("progression", 50), 2, 50)
 
 
 def test_unit_progression_matches_build_progression(monkeypatch):
@@ -517,7 +588,7 @@ def test_negative_pell_rejects_a_unit_off_its_parameter(monkeypatch, steps, matc
     # the grid)
     monkeypatch.setattr(survey, "pair_of", _shifted_pair_of(steps))
     with pytest.raises(AssertionError, match=match):
-        survey._pell_chunk("progression", 2, 500)
+        survey._pell_chunk("progression", survey._pell_flags("progression", 500), 2, 500)
 
 
 def test_negative_pell_compares_earlier_candidates(monkeypatch):
@@ -529,7 +600,7 @@ def test_negative_pell_compares_earlier_candidates(monkeypatch):
 
     monkeypatch.setattr(progressions, "_witness", squared)
     with pytest.raises(AssertionError, match="witness of norm 1 != mu"):
-        survey._pell_chunk("progression", 2, 500)
+        survey._pell_chunk("progression", survey._pell_flags("progression", 500), 2, 500)
 
 
 def test_ramified_identity_sweep():

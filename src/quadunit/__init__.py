@@ -23,12 +23,13 @@ from .arith import (
 from .contfrac import (
     CFExpansion,
     QuadIrr,
+    convergent_xi,
+    convergents,
     expand_omega,
     fundamental_unit,
     is_reduced,
     regulator,
     residuals_hold,
-    total_quotient,
 )
 from .ideals import (
     IdealBasis,

@@ -35,10 +35,11 @@ body through the midpoint identities (same references):
 
 with p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1, and eps_d = xi_{l-1}.
 
-Partial quotients, convergents (p_n, q_n) and the quadratic integers
-xi_n = conj(p_n - q_n w[d]) are produced as lazy streams so
-palindromy/determinant checks up to 2l stay cheap; the absolute norms
-nu_n = |N(xi_n)| are read off the (P, Q) states (see CFExpansion.nu).
+A period is read one way, in order: CFExpansion.period yields
+(a_n, P_{n+1}, Q_{n+1}, nu_n) for n = 0 .. l - 1, where the absolute norm
+nu_n = |N(xi_n)| is read off the state of alpha_{n+1}.  :func:`convergents`
+runs p_n, q_n over the same quotients, and :func:`convergent_xi` builds
+xi_n = conj(p_n - q_n w[d]) from them.
 
 :func:`residuals_hold` decides the residual certificate of one period in
 exact integers, reading the period in order through CFExpansion.period;
@@ -135,8 +136,8 @@ def period_is_odd(d: int) -> bool:
 
 
 class CFExpansion:
-    """Period, partial quotients, convergents and xi/nu streams for w[d],
-    read from the half-period walk through the palindrome."""
+    """One period of w[d], read in order through :meth:`period` from the
+    half-period walk and its palindrome."""
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
@@ -145,68 +146,20 @@ class CFExpansion:
         self._j = len(self._a)  # the midpoint state
         self._e = ctx.sqrt_disc_scale
         self.l = 2 * self._j - (1 if odd else 2)
-        self._p = [self.a0]
-        self._q = [1]
-
-    def partial_quotient(self, n: int) -> int:
-        """a_n, n >= 0: a_i = a_{l-i} for 1 <= i < l, a_l = 2 a_0 - [d = 1 mod 4]."""
-        if n < 0:
-            raise ValueError("partial quotients start at index 0")
-        if n == 0:
-            return self.a0
-        i = (n - 1) % self.l + 1  # i = n (mod l), 1 <= i <= l
-        if i == self.l:
-            return 2 * self.a0 - self.ctx.omega_trace
-        return self._a[i if i < self._j else self.l - i]
-
-    def state(self, n: int) -> tuple[int, int]:
-        """(P, Q) of the total quotient alpha_n, n >= 1: P_i = P_{l+1-i}, Q_i = Q_{l-i} past j."""
-        if n < 1:
-            raise ValueError("total quotients start at index 1")
-        l = self.l
-        i = (n - 1) % l + 1  # i = n (mod l), 1 <= i <= l
-        return (self._P[i], self._Q[i]) if i <= self._j else (self._P[l + 1 - i], self._Q[l - i])
 
     def period(self):
         """(a_n, P_{n+1}, Q_{n+1}, nu_n) for n = 0 .. l - 1, in order.
 
-        The same data as partial_quotient(n), state(n + 1) and nu(n), read
-        straight from the half walk's lists: for n < j they are the walk's
-        own a_n, P_{n+1}, Q_{n+1}; past the midpoint, n = l - m for
+        Read straight from the half walk's lists: for n < j they are the
+        walk's own a_n, P_{n+1}, Q_{n+1}; past the midpoint, n = l - m for
         m = k .. 1 (k = l - j) gives a_n = a_m, P_{n+1} = P_m and
-        Q_{n+1} = Q_{m-1}.  nu_n = e Q_{n+1} / 2 as in :meth:`nu`.
-        """
-        a, P, Q, e = self._a, self._P, self._Q, self._e
-        k = self.l - self._j
-        rows = zip(chain(a, a[k:0:-1]), chain(P[1:], P[k:0:-1]), chain(Q[1:], reversed(Q[:k])))
-        return ((a_n, P_n, Q_n, e * Q_n // 2) for a_n, P_n, Q_n in rows)
+        Q_{n+1} = Q_{m-1}.  The period body ends at a_{l-1}; the next
+        quotient is a_l = 2 a_0 - [d = 1 mod 4].  Past one period the
+        states repeat from alpha_{l+1} = alpha_1, and the quotients from
+        a_{l+1} = a_1.
 
-    def _extend(self, n: int) -> None:
-        while len(self._p) <= n:
-            k = len(self._p)
-            a = self.partial_quotient(k)
-            pm2, qm2 = (1, 0) if k == 1 else (self._p[k - 2], self._q[k - 2])
-            self._p.append(a * self._p[k - 1] + pm2)
-            self._q.append(a * self._q[k - 1] + qm2)
-
-    def convergent(self, n: int) -> tuple[int, int]:
-        """(p_n, q_n), n >= -1, with p_{-1}/q_{-1} = 1/0."""
-        if n < -1:
-            raise ValueError("convergents start at index -1")
-        if n == -1:
-            return (1, 0)
-        self._extend(n)
-        return self._p[n], self._q[n]
-
-    def xi(self, n: int) -> QuadInt:
-        """xi_n = conj(p_n - q_n w[d])."""
-        p, q = self.convergent(n)
-        return QuadInt(self.ctx, p, -q).conj()
-
-    def nu(self, n: int) -> int:
-        """nu_n = |N(xi_n)| = e Q_{n+1} / 2, read from the state of alpha_{n+1}.
-
-        Here e = sqrt_disc_scale and theta = w[d] = (P_0 + sqrt d)/Q_0.  From
+        nu_n = |N(xi_n)| = e Q_{n+1} / 2, with e = sqrt_disc_scale and
+        theta = w[d] = (P_0 + sqrt d)/Q_0.  From
         theta = (p_n alpha_{n+1} + p_{n-1}) / (q_n alpha_{n+1} + q_{n-1}) and
         p_n q_{n-1} - p_{n-1} q_n = (-1)^{n+1},
 
@@ -224,7 +177,28 @@ class CFExpansion:
         For w[d] = sqrt(d), Q_0 = 1 and e = 2; for w[d] = (1+sqrt(d))/2,
         Q_0 = 2 and e = 1.  Either way e Q_0 = 2, so nu_n = e Q_{n+1}/2.
         """
-        return self._e * self.state(n + 1)[1] // 2
+        a, P, Q, e = self._a, self._P, self._Q, self._e
+        k = self.l - self._j
+        rows = zip(chain(a, a[k:0:-1]), chain(P[1:], P[k:0:-1]), chain(Q[1:], reversed(Q[:k])))
+        return ((a_n, P_n, Q_n, e * Q_n // 2) for a_n, P_n, Q_n in rows)
+
+
+def convergents(exp: CFExpansion):
+    """(p_n, q_n) for n = 0 .. l - 1, in order, over the quotients of exp.period().
+
+    p_n = a_n p_{n-1} + p_{n-2}, and q_n likewise, from p_{-1}/q_{-1} = 1/0
+    and p_{-2}/q_{-2} = 0/1.  Zip it with exp.period() to read row n and
+    (p_n, q_n) together.
+    """
+    p, q, p1, q1 = 1, 0, 0, 1  # (p_{n-1}, q_{n-1}), (p_{n-2}, q_{n-2}) at n = 0
+    for a, _, _, _ in exp.period():
+        p, q, p1, q1 = a * p + p1, a * q + q1, p, q
+        yield p, q
+
+
+def convergent_xi(ctx: FieldContext, p: int, q: int) -> QuadInt:
+    """xi = conj(p - q w[d]) of the convergent p/q: conj(w[d]) = t - w[d], t = omega_trace."""
+    return QuadInt(ctx, p - q * ctx.omega_trace, q)
 
 
 @lru_cache(maxsize=1)  # the last expansion only, as _half_cycle keeps the last walk
@@ -240,14 +214,6 @@ def expand_omega(ctx: FieldContext) -> CFExpansion:
 
 expand_omega.cache_info = _expand_omega.cache_info
 expand_omega.cache_clear = _expand_omega.cache_clear
-
-
-def total_quotient(exp: CFExpansion, n: int) -> QuadIrr:
-    """alpha_{n+1} as an exact quadratic irrational (n >= 0)."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    P, Q = exp.state(n + 1)
-    return QuadIrr(exp.ctx.d, P, Q)
 
 
 def fundamental_unit(ctx: FieldContext) -> QuadInt:
@@ -270,7 +236,7 @@ def fundamental_unit(ctx: FieldContext) -> QuadInt:
         p, q = p * q + p1 * q1, q * q + q1 * q1
     else:
         p, q = p * q1 + p1 * q2, q1 * (q + q2)
-    return QuadInt(ctx, p - q * ctx.omega_trace, q)  # conj(p - q w[d]), as in xi
+    return convergent_xi(ctx, p, q)
 
 
 def residuals_hold(exp: CFExpansion) -> bool:

@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .arith import factorize, is_squarefree, isqrt, jacobi, mod_inverse
-from .contfrac import CFExpansion, QuadIrr, expand_omega, is_reduced, total_quotient
+from .contfrac import QuadIrr, convergent_xi, convergents, expand_omega, is_reduced
 from .quadfield import FieldContext, QuadInt, sign_plus_sqrt
 
 
@@ -186,12 +186,12 @@ class XiAlphaIndex(NamedTuple):
 
 def xi_alpha_check(ctx: FieldContext) -> list[XiAlphaIndex]:
     """Verify alpha((xi_n)) == alpha_{n+1} at every n < l, exactly."""
-    exp: CFExpansion = expand_omega(ctx)
+    exp = expand_omega(ctx)
     out = []
-    for n in range(exp.l):
-        basis = principal_basis(exp.xi(n))
+    for n, ((_, P, Q, nu), (p, q)) in enumerate(zip(exp.period(), convergents(exp))):
+        basis = principal_basis(convergent_xi(ctx, p, q))
         ai = alpha_of_ideal(basis).as_pair()
-        ac = total_quotient(exp, n).as_pair()
-        ok = basis.c == 1 and basis.a == exp.nu(n) and ai == ac
-        out.append(XiAlphaIndex(n, ok, basis.a, exp.nu(n), basis.c, ai, ac))
+        ac = QuadIrr(ctx.d, P, Q).as_pair()
+        ok = basis.c == 1 and basis.a == nu and ai == ac
+        out.append(XiAlphaIndex(n, ok, basis.a, nu, basis.c, ai, ac))
     return out

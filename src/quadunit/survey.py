@@ -35,7 +35,7 @@ from .arith import (
     squarefree_integers_upto,
     trial_bound,
 )
-from .contfrac import expand_omega, fundamental_unit, period_is_odd, regulator
+from .contfrac import convergent_xi, convergents, expand_omega, fundamental_unit, period_is_odd, regulator
 from .ideals import mu_below_omega, principal_basis
 from .progressions import pair_of, trace_kernels, unit_progression
 from .quadfield import FieldContext, QuadInt, field_context, is_minimal, sign_plus_sqrt
@@ -57,7 +57,7 @@ def minimal_elements(ctx: FieldContext, mu: int) -> list[QuadInt]:
         raise ValueError(f"mu={mu} is outside the convergent range of d={ctx.d}: "
                          "need mu < w[d] - 1, or mu < sqrt(D)/2 with gcd(mu, D) = 1")
     exp = expand_omega(ctx)
-    found = [exp.xi(n) for n, (_, _, _, nu) in enumerate(exp.period()) if nu == mu]
+    found = [convergent_xi(ctx, p, q) for (_, _, _, nu), (p, q) in zip(exp.period(), convergents(exp)) if nu == mu]
     eps = fundamental_unit(ctx)
     if not all(is_minimal(xi, eps) for xi in found):
         raise AssertionError(f"an xi_n of norm +-{mu} in d={ctx.d} is not minimal")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, cycle, islice
 
 
 def linear_cf_walk(d: int):
@@ -83,45 +84,59 @@ def fraction_delta_within(d: int, e: int, nu: int, P: int, Q: int, qn: int, qm1:
     return _sign_plus_sqrt_frac(U - 4, V, d) < 0 and _sign_plus_sqrt_frac(U + 4, V, d) > 0
 
 
-def norm_nu(exp, n: int) -> int:
-    """|N(xi_n)| from the big-integer convergent p_n/q_n, xi_n = conj(p_n - q_n w[d]).
+def linear_cf_rows(d: int):
+    """(a_n, P_{n+1}, Q_{n+1}, p_n, q_n, q_{n-1}) for n = 0, 1, 2, ... without end.
 
-    4 N = (2 p_n - q_n)^2 - d q_n^2 for w[d] = (1+sqrt(d))/2, and
-    N = p_n^2 - d q_n^2 for w[d] = sqrt(d); no (P, Q) state is read.
+    Reads :func:`linear_cf_walk` extended periodically (a_n = a_{n-l} for
+    n > l, alpha_{n+1} = alpha_{n+1-l} for n >= l) and runs its own convergent
+    recurrence p_n = a_n p_{n-1} + p_{n-2} (q_n likewise) over it, from
+    p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1.
     """
-    d = exp.ctx.d
-    p, q = exp.convergent(n)
+    a0, quotients, states = linear_cf_walk(d)
+    p, q, pm, qm = 1, 0, 0, 1
+    for a, (P, Q) in zip(chain([a0], cycle(quotients)), cycle(states)):
+        qm1 = q
+        p, q, pm, qm = a * p + pm, a * q + qm, p, q
+        yield a, P, Q, p, q, qm1
+
+
+def _norm(d: int, p: int, q: int) -> int:
+    """|N(p - q w[d])|: 4 N = (2p - q)^2 - d q^2 for w[d] = (1+sqrt(d))/2, N = p^2 - d q^2 else."""
     if d % 4 == 1:
         return abs((2 * p - q) ** 2 - d * q * q) // 4
     return abs(p * p - d * q * q)
 
 
-def fraction_residual(exp, n: int) -> tuple[bool, bool | None]:
-    """(alpha_below, within) at index n of the residual certificate, in Fractions.
+def norm_nu(d: int, count: int) -> list[int]:
+    """|N(xi_n)| for n < count from the big-integer convergents p_n/q_n of
+    :func:`linear_cf_rows`, xi_n = conj(p_n - q_n w[d]); no (P, Q) state is read."""
+    return [_norm(d, p, q) for _, _, _, p, q, _ in islice(linear_cf_rows(d), count)]
+
+
+def fraction_residual(d: int, indices) -> list[tuple[bool, bool | None]]:
+    """(alpha_below, within) of the residual certificate at each n in indices, in Fractions.
 
     alpha_below is alpha_{n+1} < sqrt(D)/nu_n; within is
     |delta_n| < 4/(q_n^2 sqrt(D)) from :func:`fraction_delta_within`, and
-    None at n = 0, where the certificate has no delta bound.  nu_n comes
-    from :func:`norm_nu`, not from the expansion's state.
+    None at n = 0, where the certificate has no delta bound.  Every datum
+    comes from :func:`linear_cf_rows`, nu_n from the convergent's norm.
     """
-    d = exp.ctx.d
-    e = exp.ctx.sqrt_disc_scale
-    nu = norm_nu(exp, n)
-    P, Q = exp.state(n + 1)
-    _, qn = exp.convergent(n)
-    _, qm1 = exp.convergent(n - 1)
-    alpha_below = _sign_plus_sqrt_frac(nu * P, nu - Q * e, d) < 0
-    if n == 0:
-        return alpha_below, None
-    return alpha_below, fraction_delta_within(d, e, nu, P, Q, qn, qm1)
+    e = 1 if d % 4 == 1 else 2  # sqrt(D) = e sqrt(d)
+    indices = list(indices)
+    wanted, verdicts = set(indices), {}
+    for n, (_, P, Q, p, qn, qm1) in enumerate(islice(linear_cf_rows(d), max(indices) + 1)):
+        if n in wanted:
+            nu = _norm(d, p, qn)
+            alpha_below = _sign_plus_sqrt_frac(nu * P, nu - Q * e, d) < 0
+            verdicts[n] = alpha_below, None if n == 0 else fraction_delta_within(d, e, nu, P, Q, qn, qm1)
+    return [verdicts[n] for n in indices]
 
 
-def alpha_product(exp) -> tuple[Fraction, Fraction]:
-    """prod_{i=1..l} alpha_i as exact (A, B) with value A + B*sqrt(d)."""
-    d = exp.ctx.d
+def alpha_product(d: int) -> tuple[Fraction, Fraction]:
+    """prod_{i=1..l} alpha_i as exact (A, B) with value A + B*sqrt(d), over
+    the states of :func:`linear_cf_walk`."""
     A, B = Fraction(1), Fraction(0)
-    for i in range(1, exp.l + 1):
-        P, Q = exp.state(i)
+    for P, Q in linear_cf_walk(d)[2]:
         A, B = (A * P + B * d) / Q, (A + B * P) / Q
     return A, B
 

@@ -9,9 +9,10 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 from quadunit.arith import is_squarefree, primes_up_to, squarefree_integers_upto
-from quadunit.contfrac import expand_omega, fundamental_unit, residuals_hold
+from quadunit.contfrac import convergents, expand_omega, fundamental_unit, residuals_hold
 from quadunit.ideals import (
     count_reduced_formula,
     mu_below_omega,
@@ -42,6 +43,7 @@ from oracles import (
     alpha_product,
     e_mu_fields,
     fraction_residual,
+    linear_cf_rows,
     omega_p_count,
     pell_unit_bruteforce,
     pell_unit_sympy,
@@ -59,7 +61,9 @@ def test_criterion_01_cf_regression():
     for d, (a0, periodic) in want.items():
         exp = expand_omega(field_context(d))
         assert exp.a0 == a0
-        assert [exp.partial_quotient(n) for n in range(1, exp.l + 1)] == periodic
+        # a_1 .. a_l, each the floor of alpha_n = (P_n + sqrt d)/Q_n
+        assert [(P + math.isqrt(d)) // Q for _, P, Q, _ in exp.period()] == periodic
+        assert [a for a, _, _, _ in exp.period()][1:] == periodic[:-1]
         assert exp.l == len(periodic)
     print("PASS criterion 1: CF regression for d in {2, 3, 5, 13}")
 
@@ -77,14 +81,17 @@ def test_criterion_02_unit_correctness():
     for d in _squarefree_range(5000):
         exp = expand_omega(field_context(d))
         l = exp.l
-        assert exp.nu(l - 1) == 1, d
-        assert all(exp.nu(n) > 1 for n in range(l - 1)), d
-        assert exp.partial_quotient(l) == (2 * exp.a0 - 1 if d % 4 == 1 else 2 * exp.a0), d
-        body = [exp.partial_quotient(n) for n in range(1, l)]
+        rows = list(exp.period())
+        assert rows[-1][3] == 1, d
+        assert all(nu > 1 for _, _, _, nu in rows[:-1]), d
+        _, P, Q, _ = rows[-1]  # alpha_l, whose floor is a_l
+        assert (P + math.isqrt(d)) // Q == (2 * exp.a0 - 1 if d % 4 == 1 else 2 * exp.a0), d
+        body = [a for a, _, _, _ in rows[1:]]
         assert body == body[::-1], d
-        for n in range(2 * l):
-            pn, qn = exp.convergent(n)
-            pm, qm = exp.convergent(n - 1)
+        # the library's one period of convergents, continued to n < 2l by the oracle walk
+        walk = [(p, q) for _, _, _, p, q, _ in islice(linear_cf_rows(d), 2 * l)]
+        assert list(convergents(exp)) == walk[:l], d
+        for n, ((pn, qn), (pm, qm)) in enumerate(zip(walk, [(1, 0)] + walk)):
             assert pn * qm - pm * qn == (-1) ** (n + 1), (d, n)
     print("PASS criterion 2: units match Pell oracles (d < 1000); "
           "unit/palindrome invariants hold (d < 5000)")
@@ -99,7 +106,7 @@ def test_criterion_03_xi_alpha():
 
 def test_criterion_04_alpha_product():
     for d in _squarefree_range(2000):
-        A, B = alpha_product(expand_omega(field_context(d)))
+        A, B = alpha_product(d)
         u, v = fundamental_unit(field_context(d)).half_coords()
         assert (A, B) == (Fraction(u, 2), Fraction(v, 2)), d
     print("PASS criterion 4: product of total quotients over one period "
@@ -115,18 +122,16 @@ def test_criterion_05_quotient_norm_bound():
             small.append(d)
             continue
         e = ctx.sqrt_disc_scale  # sqrt(D) = e sqrt(d)
-        for n in range(exp.l + 1):
+        rows = list(exp.period())
+        for n, (_, P, Q, nu) in enumerate(rows + rows[:1]):  # n <= l: alpha_{l+1} = alpha_1
             # alpha_{n+1} < sqrt(D)/nu_n  <=>  nu P + (nu - e Q) sqrt(d) < 0
-            nu = exp.nu(n)
-            P, Q = exp.state(n + 1)
             assert sign_plus_sqrt(nu * P, nu - e * Q, d) < 0, (d, n)
         assert residuals_hold(exp), d  # the delta bound at 1 <= n < l
-        assert fraction_residual(exp, exp.l)[1], d  # and at n = l
+        assert fraction_residual(d, [exp.l])[0][1], d  # and at n = l
     assert sorted(small) == [2, 3, 5, 13]  # discriminants 8, 12, 5, 13
     for d in small:
         exp = expand_omega(field_context(d))
-        for n in range(2 * exp.l + 3):
-            alpha_below, within = fraction_residual(exp, n)
+        for n, (alpha_below, within) in enumerate(fraction_residual(d, range(2 * exp.l + 3))):
             assert alpha_below, (d, n)
             if n >= 1:
                 assert within, (d, n)

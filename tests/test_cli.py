@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +34,18 @@ def test_cf_command(capsys):
     assert doc["a0"] == 2 and doc["period"] == 1 and doc["quotients"] == [3]
     assert doc["epsilon"] == {"a": 1, "b": 1}
     assert doc["norm_epsilon"] == -1
+
+
+def test_cf_matches_the_benchmark_reference(capsys):
+    # every cf query of the benchmark's recorded outputs, in process: the
+    # sha256 of each output starts with the digest recorded for it
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    digests = {key: digest for key, digest in json.loads(reference.read_text())["sha256"].items()
+               if key.startswith("cf ")}
+    assert len(digests) == 1193
+    for key, digest in digests.items():
+        code, out, _ = run_cli(*key.split(), capsys=capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest().startswith(digest), key
 
 
 def test_unit_command(capsys):

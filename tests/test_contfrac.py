@@ -13,13 +13,14 @@ from quadunit.arith import BudgetError, is_squarefree, squarefree_integers_upto
 from quadunit.contfrac import (
     CFExpansion,
     QuadIrr,
+    convergent_xi,
+    convergents,
     expand_omega,
     fundamental_unit,
     is_reduced,
     period_is_odd,
     regulator,
     residuals_hold,
-    total_quotient,
 )
 from quadunit.cli import main
 from quadunit.quadfield import FieldContext, QuadInt, field_context, qi_compare
@@ -29,6 +30,7 @@ from oracles import (
     alpha_product,
     fraction_delta_within,
     fraction_residual,
+    linear_cf_rows,
     linear_cf_walk,
     linear_fundamental_unit,
     linear_regulator,
@@ -43,10 +45,18 @@ rng = random.Random(0xBADC0DE)
 SQUAREFREE = [d for d in range(2, 300) if squarefree_integers_upto(300)[d]]
 
 
-def _period(e, first=1):
-    """(a_n, state(n)) for n = first .. first + l - 1, read through the accessors."""
-    span = range(first, first + e.l)
-    return tuple(map(e.partial_quotient, span)), tuple(map(e.state, span))
+def _period(e):
+    """(a_n, state of alpha_n) for n = 1 .. l, read in order from e.period().
+
+    a_n is the floor of alpha_n, read off its state, so a_l is read from
+    alpha_l, not from the 2 a_0 - [d = 1 mod 4] it is checked against; the
+    rows' own a_1 .. a_{l-1} must agree.
+    """
+    rows = list(e.period())
+    sf = math.isqrt(e.ctx.d)
+    quotients = tuple((P + sf) // Q for _, P, Q, _ in rows)
+    assert quotients[:-1] == tuple(a for a, _, _, _ in rows[1:]), e.ctx.d
+    return quotients, tuple((P, Q) for _, P, Q, _ in rows)
 
 
 def test_expand_omega_worked_cases():
@@ -61,8 +71,6 @@ def _assert_matches_linear_walk(d):
     periodic, states = _period(e)
     assert (e.a0, periodic, states) == linear_cf_walk(d), d
     assert e.l == len(periodic) == len(states)
-    # the palindrome map is periodic past the first period
-    assert _period(e, e.l + 1) == (periodic, states), d
     # bitwise: the half-period walk must keep the full walk's float sum
     assert regulator(ctx) == linear_regulator(d), d
     # the unit from the midpoint convergents is the full period's xi_{l-1}
@@ -181,38 +189,32 @@ def test_last_quotient_and_palindrome():
         assert body == body[::-1]
 
 
-def test_negative_indices_raise():
-    e = expand_omega(field_context(13))
-    assert e.partial_quotient(0) == 2 and e.convergent(-1) == (1, 0)
-    with pytest.raises(ValueError, match="partial quotients start at index 0"):
-        e.partial_quotient(-1)
-    with pytest.raises(ValueError, match="convergents start at index -1"):
-        e.convergent(-2)
-    with pytest.raises(ValueError, match="total quotients start at index 1"):
-        e.state(0)
+def _walk_period(d):
+    """(a_n, P_{n+1}, Q_{n+1}, nu_n) for n < l from the full walk, nu_n the convergent's norm."""
+    l = len(linear_cf_walk(d)[1])
+    rows = itertools.islice(linear_cf_rows(d), l)
+    return [(a, P, Q, nu) for (a, P, Q, _, _, _), nu in zip(rows, norm_nu(d, l))]
 
 
-def _accessor_period(e):
-    return [(e.partial_quotient(n), *e.state(n + 1), e.nu(n)) for n in range(e.l)]
-
-
-def test_period_reader_matches_accessors():
+def test_period_reader_matches_linear_walk():
     # the slice edge cases first: no mirrored part (k = 0) at l = 1 and l = 2
     for d, rows in [(2, [(1, 1, 1, 1)]), (5, [(1, 1, 2, 1)]), (3, [(1, 1, 2, 2), (1, 1, 1, 1)])]:
         e = CFExpansion(field_context(d))
-        assert list(e.period()) == _accessor_period(e) == rows, d
+        assert list(e.period()) == _walk_period(d) == rows, d
     flags = squarefree_integers_upto(3000)
     for d in [d for d in range(2, 3000) if flags[d]] + [1000099, 9999991]:
         e = CFExpansion(field_context(d))
-        assert list(e.period()) == _accessor_period(e), d
+        assert list(e.period()) == _walk_period(d), d
 
 
 def test_convergent_determinant():
+    # the library's convergents are one period's; the oracle walk continues
+    # them to n = 2l
     for d in SQUAREFREE[:60]:
         e = expand_omega(field_context(d))
-        for n in range(2 * e.l + 1):
-            pn, qn = e.convergent(n)
-            pm, qm = e.convergent(n - 1)
+        walk = [(p, q) for _, _, _, p, q, _ in itertools.islice(linear_cf_rows(d), 2 * e.l + 1)]
+        assert list(convergents(e)) == walk[:e.l], d
+        for n, ((pn, qn), (pm, qm)) in enumerate(zip(walk, [(1, 0)] + walk)):
             assert pn * qm - pm * qn == (-1) ** (n + 1)
             assert math.gcd(pn, qn) == 1
 
@@ -221,12 +223,13 @@ def test_quotients_match_naive_expansion():
     # float/Fraction long division of w[d] reproduces the partial quotients
     for d in (2, 3, 7, 13, 19, 94, 123):
         e = expand_omega(field_context(d))
+        periodic = _period(e)[0]  # a_1 .. a_l, then a_n = a_{n-l}
         prec = Fraction(math.isqrt(d << 200), 1 << 100)
         w = (1 + prec) / 2 if d % 4 == 1 else prec
         x = w
         for n in range(min(12, 2 * e.l)):
             a = math.floor(x)
-            assert a == e.partial_quotient(n)
+            assert a == (e.a0 if n == 0 else periodic[(n - 1) % e.l])
             x = 1 / (x - a)
 
 
@@ -234,26 +237,29 @@ def test_xi_stream_and_norms():
     for d in SQUAREFREE[:60]:
         ctx = field_context(d)
         e = expand_omega(ctx)
-        for n in range(e.l):
-            xi = e.xi(n)
-            p, q = e.convergent(n)
+        for n, ((_, _, _, nu), (p, q)) in enumerate(zip(e.period(), convergents(e))):
+            xi = convergent_xi(ctx, p, q)
             # xi is the conjugate of p - q*w[d]
             assert xi == (QuadInt(ctx, p, 0) - QuadInt(ctx, 0, q)).conj()
-            assert e.nu(n) == abs(xi.norm())
-            assert xi.norm() == (-1) ** (n + 1) * e.nu(n)
+            assert nu == abs(xi.norm())
+            assert xi.norm() == (-1) ** (n + 1) * nu
+
+
+def _total_quotients(d):
+    """alpha_1 .. alpha_l of w[d] as exact quadratic irrationals, in period order."""
+    return [QuadIrr(d, P, Q) for _, P, Q, _ in expand_omega(field_context(d)).period()]
 
 
 def test_total_quotient_examples():
-    assert total_quotient(expand_omega(field_context(2)), 0).as_pair() == (1, 1)
-    assert total_quotient(expand_omega(field_context(13)), 0).as_pair() == (3, 2)
-    assert total_quotient(expand_omega(field_context(3)), 1).as_pair() == (1, 1)
+    assert _total_quotients(2)[0].as_pair() == (1, 1)
+    assert _total_quotients(13)[0].as_pair() == (3, 2)
+    assert _total_quotients(3)[1].as_pair() == (1, 1)
 
 
 def test_total_quotients_reduced():
+    # alpha_{n+1} for n < 2l: the second period repeats the first's states
     for d in SQUAREFREE[:40]:
-        e = expand_omega(field_context(d))
-        for n in range(2 * e.l):
-            assert is_reduced(total_quotient(e, n))
+        assert all(map(is_reduced, _total_quotients(d)))
 
 
 def test_is_reduced_examples():
@@ -290,15 +296,14 @@ def test_fundamental_unit_vs_sympy():
 
 def test_unit_is_first_unit_in_stream():
     for d in SQUAREFREE[:60]:
-        e = expand_omega(field_context(d))
-        assert e.nu(e.l - 1) == 1
-        assert all(e.nu(n) > 1 for n in range(e.l - 1))
+        *body, last = (nu for _, _, _, nu in expand_omega(field_context(d)).period())
+        assert last == 1
+        assert all(nu > 1 for nu in body)
 
 
 def test_alpha_product_equals_unit():
     for d in SQUAREFREE:
-        e = expand_omega(field_context(d))
-        A, B = alpha_product(e)
+        A, B = alpha_product(d)
         u, v = fundamental_unit(field_context(d)).half_coords()
         assert (A, B) == (Fraction(u, 2), Fraction(v, 2))
 
@@ -314,7 +319,7 @@ def test_quotient_norm_residual():
             continue
         e = expand_omega(field_context(d))
         _assert_nu_from_state(e)
-        verdicts = [fraction_residual(e, n) for n in range(e.l + 2)]
+        verdicts = fraction_residual(d, range(e.l + 2))
         assert verdicts[0] == (True, None), d
         assert all(v == (True, True) for v in verdicts[1:]), d
         holds = [verdicts[0][0]] + [within for _, within in verdicts[1:e.l]]
@@ -326,8 +331,7 @@ def test_quotient_norm_residual_large_radicand():
     # (9999991: period 8096, q_l of about 14k bits)
     for d in (1000003, 2000003, 9999991):
         e = expand_omega(field_context(d))
-        for n in (0, 1, e.l - 1, e.l):
-            assert fraction_residual(e, n) == (True, None if n == 0 else True), (d, n)
+        assert fraction_residual(d, (0, 1, e.l - 1, e.l)) == [(True, None)] + [(True, True)] * 3, d
         assert residuals_hold(e) is True, d
 
 
@@ -336,15 +340,18 @@ def test_quotient_norm_residual_large_radicand():
 def test_residual_matches_fraction_oracle_large(d):
     assume(is_squarefree(d))
     e = expand_omega(field_context(d))
-    for n in sorted(set(range(0, e.l + 2, max(1, e.l // 40))) | {e.l - 1, e.l, e.l + 1}):
-        assert fraction_residual(e, n) == (True, None if n == 0 else True), (d, n)
+    indices = sorted(set(range(0, e.l + 2, max(1, e.l // 40))) | {e.l - 1, e.l, e.l + 1})
+    for n, verdict in zip(indices, fraction_residual(d, indices)):
+        assert verdict == (True, None if n == 0 else True), (d, n)
     assert residuals_hold(e) is True, d
 
 
 def _assert_nu_from_state(e):
-    # nu_n read from the state is the norm of the big-integer convergent
-    for n in range(2 * e.l + 2):
-        assert e.nu(n) == norm_nu(e, n), (e.ctx.d, n)
+    # nu_n read from the state is the norm of the big-integer convergent;
+    # past one period the states, so the period's nu_n, repeat
+    nus = [nu for _, _, _, nu in e.period()]
+    for n, nu in enumerate(norm_nu(e.ctx.d, 2 * e.l + 2)):
+        assert nus[n % e.l] == nu, (e.ctx.d, n)
 
 
 @settings(max_examples=10, deadline=None)
@@ -354,7 +361,8 @@ def test_nu_from_state_and_one_pass_verdict_large(d):
     e = expand_omega(field_context(d))
     _assert_nu_from_state(e)
     # the oracle's verdict per index: the alpha test at n = 0, the delta bound after
-    holds = [fraction_residual(e, 0)[0]] + [fraction_residual(e, n)[1] for n in range(1, e.l)]
+    verdicts = fraction_residual(d, range(e.l))
+    holds = [verdicts[0][0]] + [within for _, within in verdicts[1:]]
     assert residuals_hold(e) is all(holds) is True, d
 
 

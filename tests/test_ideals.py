@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadunit.arith import is_squarefree, squarefree_integers_upto
-from quadunit.contfrac import expand_omega, total_quotient
+from quadunit.contfrac import convergent_xi, convergents, expand_omega
 from quadunit.ideals import (
     IdealBasis,
     alpha_of_ideal,
@@ -121,11 +121,11 @@ def test_xi_alpha_full_alignment():
     for d in SQUAREFREE[:80]:
         ctx = field_context(d)
         exp = expand_omega(ctx)
-        for n in range(exp.l):
-            basis = principal_basis(exp.xi(n))
+        for (_, P, Q, nu), (p, q) in zip(exp.period(), convergents(exp)):
+            basis = principal_basis(convergent_xi(ctx, p, q))
             assert basis.c == 1
-            assert basis.a == exp.nu(n)
-            assert alpha_of_ideal(basis).as_pair() == total_quotient(exp, n).as_pair()
+            assert basis.a == nu
+            assert alpha_of_ideal(basis).as_pair() == (P, Q)
 
 
 @settings(max_examples=15, deadline=None)
@@ -134,11 +134,13 @@ def test_principal_basis_norms_large(d):
     # (xi_n) is reduced with canonical basis [nu_n, b + w]: a is the norm
     # read from the (P, Q) state and from the big-integer convergents alike
     assume(is_squarefree(d))
-    exp = expand_omega(field_context(d))
-    for n in range(exp.l):
-        basis = principal_basis(exp.xi(n))
+    ctx = field_context(d)
+    exp = expand_omega(ctx)
+    rows = zip(exp.period(), convergents(exp), norm_nu(d, exp.l))
+    for n, ((_, _, _, nu), (p, q), oracle_nu) in enumerate(rows):
+        basis = principal_basis(convergent_xi(ctx, p, q))
         assert basis.c == 1, (d, n)
-        assert basis.a == exp.nu(n) == norm_nu(exp, n), (d, n)
+        assert basis.a == nu == oracle_nu, (d, n)
 
 
 def test_reduced_ideals_examples():

@@ -1,6 +1,7 @@
 """Static checks over the library source."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from collections import Counter
@@ -165,16 +166,25 @@ def test_one_residual_certificate():
 
 
 def test_period_read_in_order():
-    # the certificate and cf's quotient list read the period once, in order,
-    # through CFExpansion.period: no per-index accessor call
-    accessors = {"state", "partial_quotient", "nu"}
-    scopes = {("contfrac.py", "residuals_hold"), ("cli.py", "_cmd_cf")}
+    # the certificate, cf's quotient list, the xi/alpha check and the
+    # minimal elements read the period in order through CFExpansion.period:
+    # no per-index accessor call
+    accessors = {"state", "partial_quotient", "nu", "xi", "convergent"}
+    scopes = {("contfrac.py", "residuals_hold"), ("cli.py", "_cmd_cf"),
+              ("ideals.py", "xi_alpha_check"), ("survey.py", "minimal_elements")}
     functions = [(name, fn) for name, tree in _library_trees() for fn in ast.walk(tree)
                  if isinstance(fn, ast.FunctionDef) and (name, fn.name) in scopes]
-    found = [f"{name}:{node.lineno}" for name, fn in functions for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in accessors]
-    assert len(functions) == 2 and found == [], (functions, found)
+    calls = [(name, fn.name, node) for name, fn in functions for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    found = [f"{name}:{node.lineno}" for name, _, node in calls if node.func.attr in accessors]
+    readers = {(name, fn) for name, fn, node in calls if node.func.attr == "period"}
+    assert len(functions) == 4 and found == [] and readers == scopes, (functions, found, readers)
+    # and CFExpansion has one public reader, which takes no index
+    tree = dict(_library_trees())["contfrac.py"]
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CFExpansion"]
+    public = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    assert [fn.name for fn in public] == ["period"]
+    assert [ast.unparse(fn.args) for fn in public] == ["self"]
 
 
 def test_regulator_sums_in_order():
@@ -428,3 +438,52 @@ def test_every_public_function_has_a_library_caller():
              if qual not in CLAIM_CHECKS and everywhere[fn.name] == _names(ast.walk(fn))[fn.name]]
     assert found == []
     assert CLAIM_CHECKS <= {qual for _, qual, _ in functions}
+
+
+def _bench_reads(tree):
+    """Dotted quadunit names one bench module reads: each name it imports from
+    quadunit, and each attribute chain it reads from an imported quadunit module."""
+    reads, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quadunit":
+            for alias in node.names:
+                reads.append(f"{node.module}.{alias.name}")
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in modules:
+                reads.append(".".join([modules[node.id], *attrs]))
+    return reads
+
+
+def _resolves(dotted) -> bool:
+    """dotted names a module of quadunit, or an attribute reached from one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for part in parts[cut:]:
+                obj = getattr(obj, part)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_bench_reads_resolve():
+    # the benchmark's in-process runs read the library by name (cli.main,
+    # the LRU statistics behind --trace, CFExpansion in micro mode): each of
+    # those names must still exist; string literals are not read
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    reads = [dotted for path in sorted(bench.glob("*.py")) for dotted in _bench_reads(ast.parse(path.read_text()))]
+    assert {"quadunit.contfrac.expand_omega.cache_info", "quadunit.quadfield.field_context.cache_info",
+            "quadunit.contfrac.CFExpansion", "quadunit.cli.main"} <= set(reads), reads
+    assert [dotted for dotted in reads if not _resolves(dotted)] == []

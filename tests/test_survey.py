@@ -136,8 +136,14 @@ def test_minimal_elements_checks_minimality(monkeypatch):
     # not drop the element
     ctx = field_context(17)
     eps = fundamental_unit(ctx)
-    xi = contfrac.CFExpansion.xi
-    monkeypatch.setattr(contfrac.CFExpansion, "xi", lambda self, n: xi(self, n) * eps)
+
+    def times_eps(exp):
+        # (p, q) with conj(p - q w[d]) = xi_n eps_d: a + b w[d] has p = a + b t, q = b
+        for p, q in contfrac.convergents(exp):
+            x = contfrac.convergent_xi(ctx, p, q) * eps
+            yield x.a + x.b * ctx.omega_trace, x.b
+
+    monkeypatch.setattr(survey, "convergents", times_eps)
     with pytest.raises(AssertionError, match="^an xi_n of norm \\+-2 in d=17 is not minimal$"):
         minimal_elements(ctx, 2)
 
